@@ -217,27 +217,30 @@ class Application(abc.ABC):
         return result
 
     def simulate_group(self, configs) -> list:
-        """Batched :meth:`simulate` over configurations that (per
+        """:meth:`simulate` over configurations that (per
         :meth:`trace_group_key`) share a trace program.
 
         Returns the same seconds, and increments the same cache
         counters, as calling :meth:`simulate` on each configuration in
         order — pinned by tests/sim/test_batch_replay.py — while
-        paying one compiled-trace linearization for the whole group.
+        every replay of one trace object shares a single compiled
+        linearization through ``simulate_kernel``'s ``compiled_cache``.
         """
-        from repro.sim.batch import simulate_kernel_batch
-
         pending = [c for c in configs if c not in self._time_cache]
         if pending:
-            items = [
-                (self.kernel(c), self.effective_sim_config(c),
-                 self._resources_for(c))
-                for c in pending
-            ]
+            compiled_cache: dict = {}
             with span("app.simulate_group", cat="app", app=self.name,
                       group_size=len(pending)):
-                batch = simulate_kernel_batch(items, cache=self._sim_cache)
-            for config, result in zip(pending, batch):
+                results = [
+                    simulate_kernel(
+                        self.kernel(c), self.effective_sim_config(c),
+                        resources=self._resources_for(c),
+                        cache=self._sim_cache,
+                        compiled_cache=compiled_cache,
+                    )
+                    for c in pending
+                ]
+            for config, result in zip(pending, results):
                 self._time_cache.setdefault(
                     config, self._total_seconds(config, result)
                 )

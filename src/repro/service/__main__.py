@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.service serve [--host H] [--port P] [--apps a,b]
                                   [--workers N] [--store DIR]
-                                  [--checkpoint-dir DIR]
                                   [--ready-file PATH] [--keep-alive]
                                   [--no-fastlane]
     python -m repro.service submit --app NAME [request options]
@@ -129,8 +128,6 @@ def parse_args(argv):
                             "(default: $REPRO_WORKERS or 1)")
     serve.add_argument("--store", default=None, metavar="DIR",
                        help="persistent result store (default: $REPRO_STORE)")
-    serve.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="streaming per-runtime sweep checkpoints")
     serve.add_argument("--ready-file", default=None, metavar="PATH",
                        help="write {url,port,pid} JSON once listening")
     serve.add_argument("--keep-alive", action="store_true",
@@ -213,7 +210,6 @@ async def _serve(options) -> int:
         apps,
         workers=options.workers,
         store=options.store,
-        checkpoint_dir=options.checkpoint_dir,
         keep_alive=options.keep_alive,
         fastlane=not options.no_fastlane,
     )

@@ -49,7 +49,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -345,7 +344,6 @@ class AppRuntime:
         *,
         workers: Optional[int],
         store: Optional[str],
-        checkpoint_dir: Optional[str],
         decoded: Optional[DecodedCache] = None,
     ) -> None:
         self.key = key
@@ -354,16 +352,8 @@ class AppRuntime:
         self.app = type(base_app)()
         if sim_overrides:
             self.app.sim_overrides = dict(sim_overrides)
-        checkpoint_path = None
-        if checkpoint_dir:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            safe = key.replace("@", "-")
-            checkpoint_path = os.path.join(checkpoint_dir, f"{safe}.json")
         self.engine = ExecutionEngine.for_app(
-            self.app,
-            workers=workers,
-            checkpoint_path=checkpoint_path,
-            store=store,
+            self.app, workers=workers, store=store,
         )
         # The daemon-wide decoded-entry cache sits between this
         # runtime's SimulationCache and the store: sibling runtimes
@@ -389,7 +379,6 @@ class TuningService:
         *,
         workers: Optional[int] = 1,
         store: Optional[str] = None,
-        checkpoint_dir: Optional[str] = None,
         keep_alive: bool = False,
         fastlane: bool = True,
     ) -> None:
@@ -400,7 +389,6 @@ class TuningService:
         self.apps_by_name = {app.name: app for app in apps}
         self.workers = workers
         self.store = store
-        self.checkpoint_dir = checkpoint_dir
         self.keep_alive = keep_alive
         #: probe the resident memo before dispatching to the executor;
         #: ``False`` forces every sweep down the engine path (the
@@ -464,7 +452,6 @@ class TuningService:
                 request.sim_overrides,
                 workers=self.workers,
                 store=self.store,
-                checkpoint_dir=self.checkpoint_dir,
                 decoded=self.decoded,
             )
             self.runtimes[request.runtime_key] = runtime

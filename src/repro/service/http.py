@@ -14,7 +14,9 @@ longer be trusted) or unhandled exception.  Handler-level
 :class:`HTTPError` replies (404/405/validation 400s) keep the
 connection open — the framing is intact, only the request was wrong.
 Anything fancier (chunked encoding, pipelining, TLS) is deliberately
-out of scope; put a real proxy in front if you need it.
+out of scope; put a real proxy in front if you need it.  A request
+with any ``Transfer-Encoding`` gets a 501 framing error rather than a
+guessed body length.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ _REASONS = {
     409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
 }
 
 
@@ -187,18 +190,29 @@ async def read_request(
             raise HTTPError(400, "connection closed mid-headers")
         if not header:
             break
-        name, _, value = header.partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name, colon, value = header.partition(":")
+        # Whitespace around a field name (``Content-Length : 2``, or a
+        # folded continuation line) is rejected: a proxy that ignores
+        # such a header would frame the body differently.
+        if not colon or not name or name != name.strip():
+            raise HTTPError(400, f"malformed header line: {header!r}")
+        name, value = name.lower(), value.strip()
+        if (name == "content-length" and name in headers
+                and headers[name] != value):
+            raise HTTPError(400, "conflicting Content-Length headers")
+        headers[name] = value
     else:
         raise HTTPError(400, f"more than {MAX_HEADER_COUNT} headers")
+    if "transfer-encoding" in headers:
+        # Only Content-Length framing is spoken; guessing at a chunked
+        # body would leave its bytes to be read as the next request.
+        raise HTTPError(501, "Transfer-Encoding is not supported")
     body = b""
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
+    # int() would also take a sign, underscores and non-ASCII digits.
+    if not (length_text.isascii() and length_text.isdigit()):
         raise HTTPError(400, f"bad Content-Length: {length_text!r}")
-    if length < 0:
-        raise HTTPError(400, f"bad Content-Length: {length_text!r}")
+    length = int(length_text)
     if length > max_body:
         raise HTTPError(413, f"body of {length} bytes exceeds {max_body}")
     if length:

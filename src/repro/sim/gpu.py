@@ -81,8 +81,8 @@ def simulate_kernel(
     Only ``blocks_per_sm_total`` — the single grid-dependent factor —
     is recomputed per call, so cache hits are exact, not approximate.
 
-    ``compiled_cache`` lets a batch caller (see
-    :func:`repro.sim.batch.simulate_kernel_batch`) share one
+    ``compiled_cache`` lets a grouped caller (see
+    :meth:`repro.apps.base.Application.simulate_group`) share one
     :func:`~repro.sim.sm.compile_trace` linearization across every
     replay of the same trace object; replay results are bit-identical
     with or without it.

@@ -70,11 +70,6 @@ sample target to ``convergence_max_waves`` so convergence has blocks
 left to extrapolate — the PR-2 predicate never fired in practice
 because the two-wave cap made the convergence check coincide with the
 final sampled block.
-
-``REPRO_JIT=1`` selects the array-based replay engine of
-:mod:`repro.sim.jit` (numba-compiled when numba is importable, the
-same code interpreted over numpy arrays otherwise); results are
-bit-identical to this engine by construction and pinned by tests.
 """
 
 from __future__ import annotations
@@ -86,7 +81,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.trace import current_tracer
 from repro.sim.config import SimConfig
-from repro.sim.jit import replay_engine
 from repro.sim.trace import WarpTrace
 
 # Compiled event opcodes (see compile_trace).  Distinct from the raw
@@ -112,27 +106,21 @@ class CompiledTrace:
     ``events`` is the flat per-warp event list (one entry per dynamic
     event — segment repeats share the same tuple objects, so memory
     stays O(static) plus one pointer per dynamic event).  The
-    aggregates feed the analytic convergence bound and the batch
-    replayer's vectorized telemetry:
+    aggregates feed the analytic convergence bound:
 
     * ``port_cycles`` — total issue-port cycles one warp consumes
       (integer; COMPUTE durations already include the issue cost);
     * ``dram_bytes`` — one warp's total DRAM traffic in bytes.
     """
 
-    __slots__ = ("events", "n", "port_cycles", "dram_bytes", "slot_count",
-                 "jit_arrays")
+    __slots__ = ("events", "n", "port_cycles", "dram_bytes")
 
     def __init__(self, events: List[Tuple], port_cycles: int,
-                 dram_bytes: float, slot_count: int) -> None:
+                 dram_bytes: float) -> None:
         self.events = events
         self.n = len(events)
         self.port_cycles = port_cycles
         self.dram_bytes = dram_bytes
-        self.slot_count = slot_count
-        # Columnar form for the JIT engine, built lazily by
-        # repro.sim.jit._arrays_for and cached here.
-        self.jit_arrays = None
 
 
 def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
@@ -153,7 +141,6 @@ def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
     compiled_segments: List[List[Tuple]] = []
     port_cycles = 0
     dram_bytes = 0.0
-    max_slot = -1
     for segment in trace.segments:
         out: List[Tuple] = []
         for event in segment:
@@ -163,8 +150,6 @@ def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
             elif kind == 1:    # LOAD
                 slot = event[1]
                 bytes_, latency = event[2]
-                if slot > max_slot:
-                    max_slot = slot
                 if bytes_ <= 0.0:
                     out.append((_C_TEXLOAD, slot, latency))
                 else:
@@ -180,10 +165,7 @@ def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
                     # slot and touches nothing else — a COMPUTE.
                     out.append((_C_COMPUTE, issue_cost))
             elif kind == 3:    # SFU
-                slot = event[1]
-                if slot > max_slot:
-                    max_slot = slot
-                out.append((_C_SFU, slot))
+                out.append((_C_SFU, event[1]))
             elif kind == 4:    # USE
                 out.append((_C_USE, event[1]))
             elif kind == 5:    # BARRIER
@@ -211,7 +193,7 @@ def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
             dram_bytes += event[1]
         elif opcode == _C_SFU or opcode == _C_TEXLOAD:
             port_cycles += issue_cost
-    return CompiledTrace(events, port_cycles, dram_bytes, max_slot + 1)
+    return CompiledTrace(events, port_cycles, dram_bytes)
 
 
 class _Warp:
@@ -312,15 +294,9 @@ def simulate_sm(
     tracer = current_tracer()
     span_started = tracer.now() if tracer is not None else 0.0
 
-    engine = replay_engine()
-    if engine is not None:
-        state = engine(compiled, warps_per_block, blocks_resident,
-                       total_blocks, config)
-    else:
-        state = _replay(compiled, warps_per_block, blocks_resident,
-                        total_blocks, config)
     (cycles, finished_blocks, issue_busy, mem_total_bytes, mem_busy,
-     extrapolated_blocks, converged_wave, converged_mode) = state
+     extrapolated_blocks, converged_wave, converged_mode) = _replay(
+        compiled, warps_per_block, blocks_resident, total_blocks, config)
 
     events_replayed = compiled.n * warps_per_block * finished_blocks
     if tracer is not None:

@@ -108,22 +108,49 @@ def test_malformed_request_line_is_400():
     assert "malformed request line" in body["error"]
 
 
-def test_bad_content_length_is_400():
+@pytest.mark.parametrize(
+    "length_headers",
+    [
+        b"Content-Length: banana\r\n",
+        # readexactly(-5) would raise ValueError -> a spurious 500.
+        b"Content-Length: -5\r\n",
+        # int() accepts a sign and digit-group underscores; HTTP does not.
+        b"Content-Length: +2\r\n",
+        b"Content-Length: 0_2\r\n",
+        # Letting either copy win lets a proxy and this server disagree
+        # on where the body ends.
+        b"Content-Length: 2\r\nContent-Length: 5\r\n",
+    ],
+    ids=["banana", "-5", "+2", "0_2", "conflicting-duplicates"],
+)
+def test_bad_content_length_is_400(length_headers):
     status, body = exchange(
-        b"POST /things/w HTTP/1.1\r\nContent-Length: banana\r\n\r\n"
+        b"POST /things/w HTTP/1.1\r\n" + length_headers + b"\r\n{}"
     )
     assert status == 400
     assert "Content-Length" in body["error"]
 
 
-def test_negative_content_length_is_400():
-    # readexactly(-5) would raise ValueError -> a spurious 500; the
-    # negative length must be rejected at validation time instead.
+@pytest.mark.parametrize(
+    "header",
+    [b"no-colon-here", b"Content-Length : 2", b" X-Folded: yes", b": empty"],
+    ids=["no-colon", "space-before-colon", "folded", "empty-name"],
+)
+def test_malformed_header_line_is_400(header):
     status, body = exchange(
-        b"POST /things/w HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+        b"POST /things/w HTTP/1.1\r\n" + header + b"\r\n\r\n{}"
     )
     assert status == 400
-    assert "Content-Length" in body["error"]
+    assert "malformed header line" in body["error"]
+
+
+def test_transfer_encoding_is_501():
+    status, body = exchange(
+        b"POST /things/w HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"2\r\n{}\r\n0\r\n\r\n"
+    )
+    assert status == 501
+    assert "Transfer-Encoding" in body["error"]
 
 
 def test_oversized_body_is_413():
@@ -178,12 +205,12 @@ async def _read_framed_response(reader):
     return status, headers, json.loads(body) if body else None
 
 
-def run_keepalive(scenario, **serve_kwargs):
+def run_keepalive(scenario, router=None, **serve_kwargs):
     """Run ``scenario(port)`` against a keep-alive server."""
 
     async def main():
-        server = await serve(build_router(), port=0, keep_alive=True,
-                             **serve_kwargs)
+        server = await serve(router or build_router(), port=0,
+                             keep_alive=True, **serve_kwargs)
         port = server.sockets[0].getsockname()[1]
         try:
             return await scenario(port)
@@ -300,6 +327,44 @@ def test_keepalive_framing_error_closes_connection():
     assert bad[0] == 400
     assert bad[1]["connection"] == "close"
     assert trailing == b""
+
+
+def test_keepalive_chunked_body_is_not_smuggled():
+    """A chunked POST whose body holds a pipelined GET: one 501, then
+    close.  The Content-Length covers only the chunk-size line, so a
+    parser that ignored Transfer-Encoding would end the POST there and
+    route the GET as the next request on the connection."""
+    routed = []
+    router = build_router()
+
+    async def secret(request):
+        routed.append(request.path)
+        return json_response({"secret": True})
+
+    router.add("GET", "/secret", secret)
+    smuggled = b"GET /secret HTTP/1.1\r\n\r\n"
+    size_line = f"{len(smuggled):x}\r\n".encode()
+    chunked = (
+        b"POST /things/w HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+        + f"Content-Length: {len(size_line)}\r\n\r\n".encode()
+        + size_line + smuggled + b"\r\n0\r\n\r\n"
+    )
+
+    async def scenario(port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(chunked)
+        await writer.drain()
+        reply = await _read_framed_response(reader)
+        trailing = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        return reply, trailing
+
+    (status, headers, _body), trailing = run_keepalive(scenario, router)
+    assert status == 501
+    assert headers["connection"] == "close"
+    assert trailing == b""
+    assert routed == []
 
 
 def test_keepalive_mid_body_disconnect():

@@ -1,28 +1,24 @@
-"""Differential tests: batched replay versus per-configuration replay.
+"""Differential tests: grouped replay versus per-configuration replay.
 
-The batch layer (:mod:`repro.sim.batch` + the engine's trace-program
-grouping) exists purely to amortize work — one compiled trace, one
-pool dispatch per group.  It must therefore be *invisible* in every
-observable: in exact mode the results are bit-identical to sequential
-per-configuration calls, and the cache counters increment identically
-(batching can never make telemetry lie about how much replay actually
-happened).  These tests pin both, property-style over random traces
-and end to end over all four applications.
+Grouped replay (``Application.simulate_group``, which shares one
+compiled trace across a group through ``simulate_kernel``'s
+``compiled_cache``, plus the engine's trace-program grouping) exists
+purely to amortize work — one compiled trace, one pool dispatch per
+group.  It must therefore be *invisible* in every observable: results
+are bit-identical to per-configuration ``Application.simulate`` calls,
+and the cache counters increment identically (grouping can never make
+telemetry lie about how much replay actually happened).  These tests
+pin both, property-style over random traces and end to end over all
+four applications.
 """
 
-import dataclasses
-
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import all_applications
 from repro.apps.mri_fhd import MriFhd
 from repro.sim import WarpTrace, simulate_sm
-from repro.sim.batch import simulate_kernel_batch, steady_state_bounds
 from repro.sim.config import DEFAULT_SIM_CONFIG
-from repro.sim.fingerprint import SimulationCache
-from repro.sim.gpu import simulate_kernel
 from repro.sim.sm import compile_trace
 from repro.sim.trace import BARRIER, COMPUTE, LOAD, SFU, STORE, USE
 from repro.tuning.engine import ExecutionEngine
@@ -88,7 +84,7 @@ class TestSharedCompiledTrace:
     def test_precompiled_replay_bit_identical(self, events, variants):
         """Reusing ``compiled`` across variants never changes results.
 
-        This is exactly what :func:`simulate_kernel_batch` amortizes:
+        This is exactly what ``Application.simulate_group`` amortizes:
         every variant of one trace program replays through one shared
         :class:`~repro.sim.sm.CompiledTrace`.
         """
@@ -104,72 +100,51 @@ class TestSharedCompiledTrace:
                 compiled=compiled)
             assert shared == fresh
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        event_lists(),
-        st.lists(st.integers(min_value=1, max_value=24),
-                 min_size=1, max_size=8),
-    )
-    def test_steady_state_bounds_bit_equal_to_scalar(self, events, warps):
-        """The vectorized roofline equals the replay loop's scalar one."""
-        trace = trace_from(events)
-        compiled = compile_trace(trace, DEFAULT_SIM_CONFIG)
-        share = DEFAULT_SIM_CONFIG.bandwidth_bytes_per_cycle_per_sm
-        vectorized = steady_state_bounds(compiled, warps, DEFAULT_SIM_CONFIG)
-        assert vectorized.dtype == np.float64
-        for index, w in enumerate(warps):
-            issue_bound = float(w * compiled.port_cycles)
-            bw_bound = w * compiled.dram_bytes / share
-            scalar = issue_bound if issue_bound > bw_bound else bw_bound
-            assert float(vectorized[index]) == scalar
-
-
-def _batch_items(app, configs):
-    return [
-        (app.kernel(config), app.effective_sim_config(config), None)
-        for config in configs
-    ]
-
 
 class TestBatchAgainstSequential:
-    """simulate_kernel_batch == sequential simulate_kernel, all apps."""
+    """simulate_group == per-config simulate, all apps."""
 
     def _configs(self, app, stride, limit):
         return [c for c in app.space()][::stride][:limit]
 
-    def _check_app(self, app, configs):
-        items = _batch_items(app, configs)
-        batch_cache = SimulationCache()
-        batch_results = simulate_kernel_batch(items, cache=batch_cache)
-        serial_cache = SimulationCache()
-        serial_results = [
-            simulate_kernel(kernel, config, resources=resources,
-                            cache=serial_cache)
-            for kernel, config, resources in items
-        ]
-        assert batch_results == serial_results
-        assert batch_cache.counters() == serial_cache.counters()
+    def _check_app(self, make_app, configs):
+        """``make_app`` builds a fresh instance, so neither side sees
+        the other's time, trace or replay caches."""
+        grouped = make_app()
+        group_times = grouped.simulate_group(configs)
+        sequential = make_app()
+        sequential_times = [sequential.simulate(c) for c in configs]
+        assert group_times == sequential_times
+        counters = grouped.sim_cache.counters()
+        assert counters == sequential.sim_cache.counters()
+        return counters
 
     def test_all_applications_exact_mode(self):
         for app in all_applications():
-            instance = app.test_instance()
-            self._check_app(instance, self._configs(instance, 7, 6))
+            make_app = app.test_instance
+            self._check_app(make_app, self._configs(make_app(), 7, 6))
 
     def test_mri_trace_program_group(self):
         """A real group: seven invocation splits, one trace program."""
-        app = MriFhd().test_instance()
-        group = [c for c in app.space()
+        make_app = MriFhd().test_instance
+        group = [c for c in make_app().space()
                  if (c["block"], c["unroll"]) == (64, 2)]
         assert len(group) > 1
-        self._check_app(app, group)
+        self._check_app(make_app, group)
 
     def test_convergence_mode_batch_identical_too(self):
-        """Batching is invisible in convergence mode as well."""
-        app = MriFhd().test_instance()
-        app.sim_overrides = {"wave_convergence_rtol": 0.05}
-        group = [c for c in app.space()
+        """Grouping is invisible in convergence mode as well.  The
+        full-size problem: the test instance's grids are too small
+        for any wave to converge."""
+        def make_app():
+            app = MriFhd()
+            app.sim_overrides = {"wave_convergence_rtol": 0.05}
+            return app
+
+        group = [c for c in make_app().space()
                  if (c["block"], c["unroll"]) == (64, 1)]
-        self._check_app(app, group)
+        counters = self._check_app(make_app, group)
+        assert counters["blocks_extrapolated"] > 0
 
 
 #: SM-replay telemetry that must not depend on grouping or workers

@@ -1,5 +1,4 @@
-"""Wave-convergence mode: extrapolation fires, stays honest, and the
-JIT tier agrees.
+"""Wave-convergence mode: extrapolation fires and stays honest.
 
 PR 2 shipped a convergence predicate that could never fire: the wave
 budget was capped at ``simulated_waves``, so the convergence check
@@ -11,25 +10,13 @@ fix:
   extrapolates (``blocks_extrapolated > 0``) and replays strictly
   fewer events than a deep exact run;
 * every extrapolated time stays within the configured rtol of the
-  deep exact replay, configuration by configuration;
-* the ``REPRO_JIT`` array engine is bit-identical to the default
-  tuple interpreter in both exact and convergence mode (pure-Python
-  fallback when numba is absent — the supported configuration here).
+  deep exact replay, configuration by configuration.
 """
 
-import dataclasses
 import math
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.apps.matmul import MatMul
-from repro.sim import simulate_sm
 from repro.sim.config import DEFAULT_SIM_CONFIG
-from repro.sim.jit import jit_enabled, replay_engine
-from repro.sim.trace import build_trace
-
-from .test_batch_replay import event_lists, trace_from
 
 RTOL = 0.05
 
@@ -93,72 +80,3 @@ class TestGoldenSpace:
                 assert sm.converged_mode in ("analytic", "wave")
                 modes.add(sm.converged_mode)
         assert modes, "no configuration converged on the golden space"
-
-
-class TestJitEquivalence:
-    """REPRO_JIT=1 (array engine) == REPRO_JIT=0 (tuple interpreter)."""
-
-    def _jit(self, monkeypatch, on):
-        monkeypatch.setenv("REPRO_JIT", "1" if on else "0")
-        assert jit_enabled() is on
-        assert (replay_engine() is not None) is on
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        event_lists(),
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=1, max_value=3),
-        st.integers(min_value=1, max_value=8),
-        st.sampled_from([0.0, RTOL]),
-    )
-    def test_random_traces_bit_identical(self, events, warps, resident,
-                                         blocks, rtol):
-        # hypothesis forbids function-scoped monkeypatch; flip the env
-        # around each replay pair instead.
-        import os
-
-        trace = trace_from(events)
-        config = dataclasses.replace(
-            DEFAULT_SIM_CONFIG, wave_convergence_rtol=rtol
-        )
-        kwargs = dict(warps_per_block=warps, blocks_resident=resident,
-                      total_blocks=blocks, config=config)
-        saved = os.environ.get("REPRO_JIT")
-        try:
-            os.environ["REPRO_JIT"] = "0"
-            default = simulate_sm(trace, **kwargs)
-            os.environ["REPRO_JIT"] = "1"
-            jitted = simulate_sm(trace, **kwargs)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_JIT", None)
-            else:
-                os.environ["REPRO_JIT"] = saved
-        assert jitted == default
-
-    def test_matmul_kernels_bit_identical(self, monkeypatch):
-        """Real compressed traces through both engines, both modes."""
-        app = MatMul().test_instance()
-        configs = [c for c in app.space()][::9][:6]
-        for rtol in (0.0, RTOL):
-            results = {}
-            for on in (False, True):
-                self._jit(monkeypatch, on)
-                runs = []
-                for config in configs:
-                    kernel = app.kernel(config)
-                    sim_config = dataclasses.replace(
-                        app.sim_config(config), wave_convergence_rtol=rtol
-                    )
-                    trace = build_trace(kernel, sim_config)
-                    resources = app.evaluate(config).resources
-                    occupancy = resources.occupancy(sim_config.device)
-                    runs.append(simulate_sm(
-                        trace,
-                        warps_per_block=occupancy.warps_per_block,
-                        blocks_resident=occupancy.blocks_per_sm,
-                        total_blocks=occupancy.blocks_per_sm * 4,
-                        config=sim_config,
-                    ))
-                results[on] = runs
-            assert results[True] == results[False]
