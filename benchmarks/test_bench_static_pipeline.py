@@ -7,9 +7,14 @@ pipelines:
 
 * **reference** — the pre-overhaul path: ``standard_cleanup`` detects
   convergence by re-emitting and string-comparing the PTX after every
-  round, ``count_regions`` feeds the fully expanded dynamic stream
-  through the region state machine one instruction at a time, and
-  every configuration is evaluated from scratch with no compile cache;
+  round (``tests.transforms.oracles.standard_cleanup_reference``),
+  ``count_regions`` feeds the fully expanded dynamic stream through
+  the region state machine one instruction at a time, and every
+  configuration is evaluated from scratch with no compile cache.
+  Kernels are built through ``app.kernel`` on a fresh app, exactly as
+  the engine builds them, so both sweeps do the same builds: a matmul
+  ``spill`` configuration reuses its unspilled twin's cleaned kernel
+  in both, and neither pipeline is charged for a second cleanup;
 * **optimized** — ``ExecutionEngine.evaluate_all``: change-driven
   fixpoint (no PTX emission on the convergence path), loop-compressed
   region counting, and the content-addressed compile tier sharing
@@ -40,9 +45,9 @@ from repro.apps import CoulombicPotential, MatMul
 from repro.arch.occupancy import LaunchError
 from repro.metrics.model import evaluate_kernel
 from repro.ptx import analysis
-from repro.transforms import pipeline as pipeline_module
 from repro.tuning import pareto_indices
 from repro.tuning.engine import ExecutionEngine
+from tests.transforms.oracles import standard_cleanup_reference
 
 HERE = os.path.dirname(__file__)
 BASELINE_PATH = os.path.join(HERE, "baselines", "static_pipeline.json")
@@ -62,21 +67,22 @@ def _reference_sweep(app, monkeypatch):
 
     Restores the original drivers (PTX-string fixpoint detection,
     expansion-based region counting) and evaluates every kernel from
-    scratch — no compile tier, no engine.
+    scratch — no compile tier, no engine.  Kernels come from
+    ``app.kernel`` so the builds match the optimized sweep's one for
+    one (see the module docstring).
     """
     times = {}
     with monkeypatch.context() as patched:
         for module in _APP_MODULES:
             patched.setattr(
-                f"{module}.standard_cleanup",
-                pipeline_module.standard_cleanup_reference,
+                f"{module}.standard_cleanup", standard_cleanup_reference
             )
         patched.setattr(
             analysis, "count_regions", analysis.count_regions_reference
         )
         for config in app.space():
             try:
-                times[config] = (evaluate_kernel(app.build_kernel(config)), None)
+                times[config] = (evaluate_kernel(app.kernel(config)), None)
             except LaunchError as error:
                 times[config] = (None, str(error))
     return times

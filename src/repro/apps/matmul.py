@@ -77,14 +77,17 @@ class MatMul(Application):
         rect = config["rect"]
         if tile not in TILE_SIZES or rect not in RECT_TILINGS:
             raise ConfigurationError(f"unsupported matmul config {config}")
+        if config["spill"]:
+            # Spilling runs after cleanup, so the spilled kernel is its
+            # unspilled twin's plus spill code: share that twin's build.
+            return spill_registers(
+                self.kernel(config.replace(spill=False)), SPILL_COUNT
+            )
         kernel = self._baseline(tile, rect)
         kernel = unroll(kernel, config["unroll"], label="inner")
         if config["prefetch"]:
             kernel = prefetch_global_loads(kernel, label="ktile")
-        kernel = standard_cleanup(kernel)
-        if config["spill"]:
-            kernel = spill_registers(kernel, SPILL_COUNT)
-        return kernel
+        return standard_cleanup(kernel)
 
     def _baseline(self, tile: int, rect: int) -> Kernel:
         """The Figure 2(a)/(b) kernel for one tiling choice."""

@@ -20,6 +20,7 @@ stay flat.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Tuple
 
@@ -104,7 +105,15 @@ class MriFhd(Application):
         invocations = config["invocations"]
         if block not in BLOCK_SIZES or invocations not in INVOCATION_SPLITS:
             raise ConfigurationError(f"unsupported mri config {config}")
-        kernel = self._baseline(block, invocations)
+        if invocations != 1:
+            # The split changes only the launch (name and grid), never
+            # the body: share the single-launch kernel's build.
+            name, grid = self._launch(block, invocations)
+            return dataclasses.replace(
+                self.kernel(config.replace(invocations=1)),
+                name=name, grid_dim=grid,
+            )
+        kernel = self._baseline(block)
         kernel = unroll(kernel, config["unroll"], label="samples")
         return standard_cleanup(kernel)
 
@@ -115,14 +124,18 @@ class MriFhd(Application):
         # all seven splits of a pair batch into one replay group.
         return (config["block"], config["unroll"])
 
-    def _baseline(self, block: int, invocations: int) -> Kernel:
+    def _launch(self, block: int, invocations: int) -> Tuple[str, Dim3]:
+        """Kernel name and grid of one launch under an invocation split."""
         voxels_per_launch = self.num_voxels // invocations
-        samples = self.num_samples
-        builder = KernelBuilder(
-            f"fhd_b{block}_i{invocations}",
-            block_dim=Dim3(block),
-            grid_dim=Dim3(voxels_per_launch // block),
+        return (
+            f"fhd_b{block}_i{invocations}", Dim3(voxels_per_launch // block)
         )
+
+    def _baseline(self, block: int) -> Kernel:
+        """The single-launch kernel, before unrolling and cleanup."""
+        name, grid = self._launch(block, 1)
+        samples = self.num_samples
+        builder = KernelBuilder(name, block_dim=Dim3(block), grid_dim=grid)
         coords = builder.param_ptr("coords", DataType.F32)
         kdata = builder.param_ptr("kdata", DataType.F32,
                                   space=MemorySpace.CONSTANT)
@@ -184,8 +197,6 @@ class MriFhd(Application):
             return DEFAULT_SIM_CONFIG
         # AoS records interleave five streams; unrolling multiplies the
         # distinct lines fighting over the single-ported constant cache.
-        import dataclasses
-
         ways = min(int(config["unroll"]) * 2, 16)
         return dataclasses.replace(
             DEFAULT_SIM_CONFIG, constant_conflict_ways=ways

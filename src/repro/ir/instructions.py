@@ -57,6 +57,9 @@ class Opcode(enum.Enum):
     # Synchronization.
     BAR = "bar.sync"
 
+    # Identity hash at C level (see DataType.__hash__).
+    __hash__ = object.__hash__
+
     @property
     def is_sfu(self) -> bool:
         return self in _SFU_OPS

@@ -20,6 +20,11 @@ class DataType(enum.Enum):
     U32 = "u32"
     PRED = "pred"
 
+    # Members are singletons compared by identity; the C-level identity
+    # hash skips enum's Python-level ``hash(self._name_)`` on the
+    # register-dict and opcode-set lookups that dominate the passes.
+    __hash__ = object.__hash__
+
     @property
     def size_bytes(self) -> int:
         """Storage footprint of one element in memory."""

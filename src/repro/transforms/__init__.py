@@ -10,7 +10,7 @@ from repro.transforms.licm import (
     hoist_loop_invariants,
     hoist_loop_invariants_changed,
 )
-from repro.transforms.pipeline import standard_cleanup, standard_cleanup_reference
+from repro.transforms.pipeline import standard_cleanup
 from repro.transforms.prefetch import PrefetchError, prefetch_global_loads
 from repro.transforms.schedule import schedule_loads_early
 from repro.transforms.strength import reduce_strength
@@ -56,7 +56,6 @@ __all__ = [
     "rewrite_instruction",
     "spill_registers",
     "standard_cleanup",
-    "standard_cleanup_reference",
     "substitute_value",
     "unroll",
 ]

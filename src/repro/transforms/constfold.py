@@ -44,6 +44,11 @@ class _Folder:
         self.env: Dict[VirtualRegister, Value] = {}
         # Defining instruction of each single-def register seen so far.
         self.def_instr: Dict[VirtualRegister, Instruction] = {}
+        # Reverse index: register -> def_instr keys whose instruction
+        # reads it.  Entries may outlive the def_instr entry they name
+        # (scope exit drops def_instr entries only); invalidation
+        # re-checks each candidate, so a stale entry is never wrong.
+        self.readers: Dict[VirtualRegister, List[VirtualRegister]] = {}
 
     def _single_def(self, register: VirtualRegister) -> bool:
         return self.defs.get(register, 0) == 1
@@ -76,6 +81,13 @@ class _Folder:
                 if folded is not None:
                     result.append(folded)
             elif isinstance(stmt, ForLoop):
+                # A chain recorded before the loop must not fold inside
+                # it if the loop body rewrites what the chain reads: a
+                # use ahead of the rewrite sees the rewritten value from
+                # the second iteration on.
+                for register in collect_defs(stmt.body):
+                    if not self._single_def(register):
+                        self._invalidate_reads_of(register)
                 result.append(ForLoop(
                     counter=stmt.counter,
                     start=substitute_value(stmt.start, self.env),
@@ -99,23 +111,38 @@ class _Folder:
                     ))
         return result
 
+    def _record_def(self, instr: Instruction) -> None:
+        """Remember a single-def register's instruction for address folding."""
+        self.def_instr[instr.dest] = instr
+        for value in instr.reads:
+            if isinstance(value, VirtualRegister):
+                self.readers.setdefault(value, []).append(instr.dest)
+
     def _invalidate_reads_of(self, register: VirtualRegister) -> None:
-        """A multi-def register changed: drop address chains reading it."""
-        for key in list(self.def_instr):
-            if any(v == register for v in self.def_instr[key].reads):
+        """A multi-def register changed: drop address chains reading it.
+
+        Only the keys recorded as readers of ``register`` are visited,
+        so a write to an accumulator costs time proportional to its
+        readers, not to every chain recorded so far.
+        """
+        for key in self.readers.pop(register, ()):
+            instr = self.def_instr.get(key)
+            if instr is not None and register in instr.reads:
                 del self.def_instr[key]
 
     def _fold_instruction(self, instr: Instruction) -> Optional[Instruction]:
-        srcs = tuple(substitute_value(s, self.env) for s in instr.srcs)
+        env = self.env
+        srcs = tuple(substitute_value(s, env) for s in instr.srcs)
         mem = instr.mem
         if mem is not None:
-            mem = self._fold_memref(MemRef(
-                mem.base, substitute_value(mem.index, self.env), mem.offset
-            ))
-        instr = Instruction(
-            opcode=instr.opcode, dest=instr.dest, srcs=srcs, mem=mem,
-            cmp=instr.cmp, coalesced=instr.coalesced,
-        )
+            mem = self._fold_memref(mem, substitute_value(mem.index, env))
+        if mem is not instr.mem or any(
+            a is not b for a, b in zip(srcs, instr.srcs)
+        ):
+            instr = Instruction(
+                opcode=instr.opcode, dest=instr.dest, srcs=srcs, mem=mem,
+                cmp=instr.cmp, coalesced=instr.coalesced,
+            )
         if instr.dest is not None and not self._single_def(instr.dest):
             self._invalidate_reads_of(instr.dest)
 
@@ -133,7 +160,7 @@ class _Folder:
         simplified = self._algebraic(instr)
         if isinstance(simplified, Instruction):
             if simplified.dest is not None and self._single_def(simplified.dest):
-                self.def_instr[simplified.dest] = simplified
+                self._record_def(simplified)
             return simplified
         # The instruction reduced to an existing value.
         return self._bind(instr, simplified)
@@ -190,9 +217,9 @@ class _Folder:
             return srcs[0]
         return instr
 
-    def _fold_memref(self, mem: MemRef) -> MemRef:
-        """Chase add-immediate chains into the constant offset."""
-        index = mem.index
+    def _fold_memref(self, mem: MemRef, index: Value) -> MemRef:
+        """Chase add-immediate chains from ``index`` into the constant
+        offset; ``mem`` itself comes back when nothing folds."""
         offset = mem.offset
         while True:
             if isinstance(index, Immediate):
@@ -213,6 +240,8 @@ class _Folder:
                 index = b
             else:
                 break
+        if index is mem.index and offset == mem.offset:
+            return mem
         return MemRef(mem.base, index, offset)
 
 

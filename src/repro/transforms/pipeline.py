@@ -11,25 +11,19 @@ the kernel (an exact structural fact — unchanged passes hand back the
 same object), and the loop stops on the first round in which no pass
 changed anything.  The original detector re-emitted the full PTX text
 after every round and compared strings; that emission was pure
-overhead on the convergence path and is kept only as
-``standard_cleanup_reference``, the differential-testing oracle (see
-tests/transforms/test_pipeline.py and the static-pipeline benchmark).
+overhead on the convergence path.  It lives on only as a test oracle,
+``tests.transforms.oracles.standard_cleanup_reference``, which
+tests/transforms/test_pipeline.py and the static-pipeline benchmark
+compare this driver against.
 """
 
 from __future__ import annotations
 
 from repro.ir.kernel import Kernel
-from repro.ptx.emit import emit_ptx
-from repro.transforms.constfold import constant_fold, constant_fold_changed
-from repro.transforms.cse import (
-    eliminate_common_subexpressions,
-    eliminate_common_subexpressions_changed,
-)
-from repro.transforms.dce import eliminate_dead_code, eliminate_dead_code_changed
-from repro.transforms.licm import (
-    hoist_loop_invariants,
-    hoist_loop_invariants_changed,
-)
+from repro.transforms.constfold import constant_fold_changed
+from repro.transforms.cse import eliminate_common_subexpressions_changed
+from repro.transforms.dce import eliminate_dead_code_changed
+from repro.transforms.licm import hoist_loop_invariants_changed
 
 _MAX_ROUNDS = 10
 
@@ -46,11 +40,11 @@ _ROUND = (
 def standard_cleanup(kernel: Kernel) -> Kernel:
     """Run the scalar optimization pipeline to a change-driven fixpoint.
 
-    Produces the same kernel as ``standard_cleanup_reference`` (pinned
-    by a differential test) without emitting a single line of PTX: a
-    round in which every pass reports "unchanged" started from a kernel
-    the whole round maps to itself, which is exactly the reference
-    loop's string-equality condition.
+    Produces the same kernel as the PTX-string-comparison oracle in
+    tests/transforms/oracles.py (pinned by a differential test) without
+    emitting a single line of PTX: a round in which every pass reports
+    "unchanged" started from a kernel the whole round maps to itself,
+    which is exactly the reference loop's string-equality condition.
     """
     for _ in range(_MAX_ROUNDS):
         changed = False
@@ -59,22 +53,4 @@ def standard_cleanup(kernel: Kernel) -> Kernel:
             changed = changed or pass_changed
         if not changed:
             return kernel
-    return kernel
-
-
-def standard_cleanup_reference(kernel: Kernel) -> Kernel:
-    """The original fixpoint driver: run every pass each round and
-    detect convergence by comparing emitted PTX strings.  Kept as the
-    oracle ``standard_cleanup`` is differentially tested against."""
-    fingerprint = emit_ptx(kernel)
-    for _ in range(_MAX_ROUNDS):
-        kernel = constant_fold(kernel)
-        kernel = eliminate_common_subexpressions(kernel)
-        kernel = hoist_loop_invariants(kernel)
-        kernel = constant_fold(kernel)
-        kernel = eliminate_dead_code(kernel)
-        new_fingerprint = emit_ptx(kernel)
-        if new_fingerprint == fingerprint:
-            return kernel
-        fingerprint = new_fingerprint
     return kernel

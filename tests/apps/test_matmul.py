@@ -154,3 +154,31 @@ class TestPaperFacts:
     def test_work_model(self, app):
         assert app.work_operations() == 2.0 * 1024 ** 3
         assert app.cpu_time_model_seconds() > 0
+
+
+class TestBuildSharing:
+    """A spilled kernel is built from its cached unspilled twin."""
+
+    def test_spilled_build_is_spill_of_unspilled_build(self):
+        from repro.apps.matmul import SPILL_COUNT
+        from repro.transforms import spill_registers
+
+        for unroll in (1, 4):
+            plain = Configuration({"tile": 16, "rect": 2, "unroll": unroll,
+                                   "prefetch": True, "spill": False})
+            expected = spill_registers(
+                MatMul(n=64).build_kernel(plain), SPILL_COUNT
+            )
+            assert MatMul(n=64).build_kernel(plain.replace(spill=True)) == expected
+
+    def test_spilled_build_reuses_and_keeps_cached_twin(self):
+        from repro.ptx import emit_ptx
+
+        fresh = MatMul(n=64)
+        plain = Configuration({"tile": 8, "rect": 4, "unroll": 2,
+                               "prefetch": False, "spill": False})
+        spilled = fresh.kernel(plain.replace(spill=True))
+        twin = fresh._kernel_cache[plain]     # built on the way
+        assert emit_ptx(twin) == emit_ptx(MatMul(n=64).build_kernel(plain))
+        assert emit_ptx(spilled) != emit_ptx(twin)
+        assert fresh.kernel(plain) is twin

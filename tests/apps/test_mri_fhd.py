@@ -141,3 +141,36 @@ class TestPaperFacts:
             "block": 256, "unroll": 1, "invocations": 1,
         }))
         assert report.profile.mix[InstrClass.SFU] == 2 * app.num_samples
+
+
+class TestBuildSharing:
+    """Invocation splits share the single-launch kernel's build."""
+
+    def test_variants_differ_from_base_only_in_name_and_grid(self):
+        import dataclasses
+
+        fresh = MriFhd().test_instance()
+        for config in fresh.space():
+            base = fresh.kernel(config.replace(invocations=1))
+            variant = fresh.kernel(config)
+            invocations = config["invocations"]
+            assert variant.name == f"fhd_b{config['block']}_i{invocations}"
+            assert variant.grid_dim.x * invocations == base.grid_dim.x
+            assert dataclasses.replace(
+                variant, name=base.name, grid_dim=base.grid_dim
+            ) == base
+
+    def test_building_a_variant_leaves_cached_base_unchanged(self):
+        from repro.ptx import emit_ptx
+
+        fresh = MriFhd().test_instance()
+        base_config = Configuration({"block": 64, "unroll": 4,
+                                     "invocations": 1})
+        base = fresh.kernel(base_config)
+        before = (base.name, base.grid_dim, emit_ptx(base))
+        for invocations in (2, 4, 8):
+            fresh.kernel(base_config.replace(invocations=invocations))
+        assert fresh.kernel(base_config) is base
+        assert (base.name, base.grid_dim, emit_ptx(base)) == before
+        rebuilt = MriFhd().test_instance().build_kernel(base_config)
+        assert emit_ptx(rebuilt) == before[2]

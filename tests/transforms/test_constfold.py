@@ -1,4 +1,8 @@
-"""Constant folding, propagation, algebraic identities, address folding."""
+"""Constant folding, propagation, algebraic identities, address folding.
+
+Every kernel here is synthetic, so the whole module runs in the
+``fast`` smoke job and a folding regression fails it.
+"""
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from repro.ir import DataType, Dim3, Immediate, KernelBuilder, Opcode, validate
 from repro.ir.builder import TID_X
 from repro.ir.statements import instructions
 from repro.transforms import constant_fold, eliminate_dead_code
+
+pytestmark = pytest.mark.fast
 
 F32 = DataType.F32
 S32 = DataType.S32
@@ -157,6 +163,90 @@ class TestAddressFolding:
         out = np.zeros(64, dtype=np.int32)
         launch(kernel, {"data": out})
         assert out[13] == 9
+
+
+def memory_ops(kernel, opcode):
+    return [i for i in instructions(kernel.body) if i.opcode is opcode]
+
+
+def run(kernel, size=64):
+    from repro.interp import launch
+
+    out = np.zeros(size, dtype=np.int32)
+    launch(kernel, {"data": out})
+    return out
+
+
+class TestIndexedInvalidation:
+    """Redefining an accumulator drops exactly the chains reading it."""
+
+    def test_only_chains_reading_the_register_stop_folding(self):
+        b = KernelBuilder("k", block_dim=Dim3(1), grid_dim=Dim3(1))
+        data = b.param_ptr("data", S32)
+        acc = b.mov(TID_X, dtype=S32)
+        reads_acc = b.add(acc, 1)
+        unrelated = b.add(TID_X, 2)
+        b.add(acc, 100, dest=acc)           # redefines acc
+        b.st(data, reads_acc, 7)
+        b.st(data, unrelated, 8)
+        kernel = fold(b.finish())
+        first, second = memory_ops(kernel, Opcode.ST)
+        assert (first.mem.index, first.mem.offset) == (reads_acc, 0)
+        assert (str(second.mem.index), second.mem.offset) == ("%tid.x", 2)
+        assert list(np.nonzero(run(kernel, 256))[0]) == [1, 2]
+
+    def test_chain_before_loop_invalidated_inside_it(self):
+        """The loop rewrites acc after the use: from the second
+        iteration on, acc + 1 no longer equals the chain's value, so
+        the chain must not fold anywhere in (or after) the loop, while
+        a chain on an unchanged register still folds inside it."""
+        b = KernelBuilder("k", block_dim=Dim3(1), grid_dim=Dim3(1))
+        data = b.param_ptr("data", S32)
+        acc = b.mov(TID_X, dtype=S32)
+        shifted = b.add(acc, 1)
+        steady = b.add(TID_X, 40)
+        with b.loop(0, 3):
+            b.st(data, shifted, 5)
+            b.st(data, steady, 6)
+            b.add(acc, 16, dest=acc)
+            b.st(data, shifted, 7)
+        b.st(data, shifted, 9)
+        kernel = fold(b.finish())
+        stores = memory_ops(kernel, Opcode.ST)
+        chain = str(shifted)
+        assert [(str(s.mem.index), s.mem.offset) for s in stores] == [
+            (chain, 0), ("%tid.x", 40), (chain, 0), (chain, 0),
+        ]
+        out = run(kernel)
+        assert list(np.nonzero(out)[0]) == [1, 40]
+        assert out[1] == 9 and out[40] == 6
+
+    def test_chain_invalidated_inside_if(self):
+        from repro.ir import CmpOp
+
+        b = builder()
+        data = b.param_ptr("data", S32)
+        acc = b.mov(TID_X, dtype=S32)
+        shifted = b.add(acc, 1)
+        steady = b.add(TID_X, 20)
+        pred = b.setp(CmpOp.LT, TID_X, 4)
+        with b.if_(pred):
+            b.st(data, shifted, 3)          # before the rewrite: folds
+            b.add(acc, 32, dest=acc)
+            b.st(data, shifted, 4)          # after it: must not
+            b.st(data, steady, 5)
+        b.st(data, shifted, 6)              # acc may have changed
+        b.st(data, steady, 7)
+        kernel = fold(b.finish())
+        stores = memory_ops(kernel, Opcode.ST)
+        assert [s.mem.offset for s in stores] == [1, 0, 20, 0, 20]
+        assert stores[0].mem.index == acc
+        assert [s.mem.index for s in stores[1::2]] == [shifted, shifted]
+        out = run(kernel, 64)
+        expected = np.zeros(64, dtype=np.int32)
+        expected[1:17] = 6
+        expected[20:36] = 7
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestLoopSemantics:

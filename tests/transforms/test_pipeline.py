@@ -110,7 +110,7 @@ class TestDifferentialAgainstReference:
                     continue
 
     def test_app_kernels_bit_identical_to_reference(self):
-        from repro.transforms import standard_cleanup_reference
+        from tests.transforms.oracles import standard_cleanup_reference
 
         checked = 0
         for kernel in self._sample_kernels():
@@ -124,7 +124,7 @@ class TestDifferentialAgainstReference:
         assert checked >= 20
 
     def test_unconverged_kernel_bit_identical_to_reference(self):
-        from repro.transforms import standard_cleanup_reference
+        from tests.transforms.oracles import standard_cleanup_reference
 
         for factor in (2, 4, COMPLETE):
             kernel = unroll(build_tiled_matmul(), factor, label="inner")
