@@ -4,7 +4,7 @@ Times the full matmul configuration space through two pipelines:
 
 * **reference** — the straightforward path: per-configuration kernel
   build, compile pass, flat O(dynamic-instructions) trace build, and
-  the simple heap-driven replay of :mod:`repro.sim.reference` (the
+  the simple heap-driven replay of :mod:`tests.sim.oracles` (the
   shape of the original implementation);
 * **optimized** — ``Application.simulate``: loop-compressed segment
   walking, the compiled flat-trace replay engine, and the
@@ -76,7 +76,7 @@ from repro.apps import MatMul
 from repro.arch.occupancy import LaunchError
 from repro.cubin.resources import cubin_info
 from repro.sim.config import DEFAULT_SIM_CONFIG
-from repro.sim.reference import build_trace_reference, simulate_sm_reference
+from tests.sim.oracles import build_trace_reference, simulate_sm_reference
 from repro.store import ResultStore
 from repro.tuning.engine import config_key
 

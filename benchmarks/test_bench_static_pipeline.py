@@ -47,6 +47,7 @@ from repro.metrics.model import evaluate_kernel
 from repro.ptx import analysis
 from repro.tuning import pareto_indices
 from repro.tuning.engine import ExecutionEngine
+from tests.ptx.oracles import count_regions_reference
 from tests.transforms.oracles import standard_cleanup_reference
 
 HERE = os.path.dirname(__file__)
@@ -78,7 +79,7 @@ def _reference_sweep(app, monkeypatch):
                 f"{module}.standard_cleanup", standard_cleanup_reference
             )
         patched.setattr(
-            analysis, "count_regions", analysis.count_regions_reference
+            analysis, "count_regions", count_regions_reference
         )
         for config in app.space():
             try:

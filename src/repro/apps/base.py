@@ -14,11 +14,14 @@ Each application (Table 3) supplies:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Tuple
+import dataclasses
+import functools
+import hashlib
+import json
+import os
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
-
-import dataclasses
 
 from repro.cubin.resources import ResourceUsage
 from repro.ir.kernel import Kernel
@@ -38,6 +41,31 @@ class ConfigurationError(ValueError):
     """A configuration outside the application's space was requested."""
 
 
+@functools.lru_cache(maxsize=1)
+def source_digest() -> str:
+    """sha256 over every ``.py`` file of the ``repro`` package.
+
+    Computed once per process, with the recipe of
+    ``perfbench/run.py:source_revision``: files in sorted walk order,
+    each contributing its package-relative path and its bytes.  Part of
+    :meth:`Application.result_key`, so results stored by one version of
+    the kernel generators, transforms or simulator are never served to
+    another.
+    """
+    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    root = os.path.dirname(package)
+    digest = hashlib.sha256()
+    for folder, dirs, files in sorted(os.walk(package)):
+        dirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                digest.update(os.path.relpath(path, root).encode())
+                with open(path, "rb") as handle:
+                    digest.update(handle.read())
+    return digest.hexdigest()
+
+
 class Application(abc.ABC):
     """One benchmark and its optimization space."""
 
@@ -52,6 +80,10 @@ class Application(abc.ABC):
 
     def __init__(self) -> None:
         self._kernel_cache: Dict[Configuration, Kernel] = {}
+        #: ``kernel`` calls so far; tells a kernel derived from another
+        #: configuration's (its build asked for one) from one built
+        #: from scratch
+        self._kernel_requests = 0
         self._fingerprint_cache: Dict[Configuration, str] = {}
         self._time_cache: Dict[Configuration, float] = {}
         self._sim_cache = SimulationCache()
@@ -67,11 +99,65 @@ class Application(abc.ABC):
     def build_kernel(self, config: Configuration) -> Kernel:
         """Generate the kernel for one configuration."""
 
+    @abc.abstractmethod
+    def identity(self) -> Dict[str, Any]:
+        """The problem parameters this instance was constructed with
+        (JSON-serializable); two instances with equal identities
+        generate the same kernels for every configuration."""
+
+    def result_key(self, config: Configuration) -> str:
+        """The result store's key for one configuration's entries (its
+        results in the ``config`` tier, its kernel in the ``kernel``
+        tier).
+
+        A sha256 over everything that decides the configuration's
+        kernel, static entry and measured time: the application class,
+        its :meth:`identity`, the configuration, the effective
+        :class:`~repro.sim.config.SimConfig` (so ``sim_overrides``
+        count), and :func:`source_digest`.  Leaving any of them out
+        would serve one problem's results to another.
+        """
+        from repro.tuning.engine import config_key
+
+        cls = type(self)
+        parts = (
+            f"{cls.__module__}.{cls.__qualname__}",
+            json.dumps(self.identity(), sort_keys=True),
+            config_key(config),
+            repr(self.effective_sim_config(config)),
+            source_digest(),
+        )
+        return hashlib.sha256("\0".join(parts).encode("utf-8")).hexdigest()
+
     def kernel(self, config: Configuration) -> Kernel:
-        """Cached kernel generation."""
-        if config not in self._kernel_cache:
-            self._kernel_cache[config] = self.build_kernel(config)
-        return self._kernel_cache[config]
+        """Cached kernel generation.
+
+        With a result store attached, built kernels also persist in its
+        ``kernel`` tier under :meth:`result_key`: loading one is over
+        ten times cheaper than building and cleaning it, so a process
+        that meets a configuration some earlier process built (a
+        daemon's first touch of a stored configuration's sibling)
+        loads it.
+        """
+        self._kernel_requests += 1
+        kernel = self._kernel_cache.get(config)
+        if kernel is not None:
+            return kernel
+        key = None
+        if self._sim_cache.store is not None:
+            key = self.result_key(config)
+            kernel = self._sim_cache.load_kernel(key)
+        if kernel is None:
+            requests = self._kernel_requests
+            kernel = self.build_kernel(config)
+            # A kernel derived from another configuration's (MRI-FHD's
+            # invocation splits, matmul's spilled twins) is cheap to
+            # derive again once that one is stored: persist only
+            # kernels built from scratch.
+            if key is not None and self._kernel_requests == requests:
+                self._sim_cache.store_kernel(key, kernel)
+        self._kernel_cache[config] = kernel
+        return kernel
 
     #: optional ``dataclasses.replace`` overrides applied on top of
     #: :meth:`sim_config` everywhere this application consumes it
@@ -247,7 +333,6 @@ class Application(abc.ABC):
         return [self._time_cache[config] for config in configs]
 
     def search_engine(self, workers: Optional[int] = 1,
-                      checkpoint_path: Optional[str] = None,
                       retry_policy=None, fault_spec: Optional[str] = None,
                       store=None):
         """An :class:`~repro.tuning.engine.ExecutionEngine` over this app.
@@ -261,13 +346,14 @@ class Application(abc.ABC):
         ``REPRO_FAULTS`` from the environment); ``store`` — a
         :class:`~repro.store.ResultStore` or directory path, with
         ``None`` reading ``REPRO_STORE`` — layers the persistent
-        result store under this app's ``sim_cache``.
+        result store under this app's ``sim_cache`` and keeps each
+        configuration's finished results in its ``config`` tier.
         """
         from repro.tuning.engine import ExecutionEngine
 
         return ExecutionEngine.for_app(
-            self, workers=workers, checkpoint_path=checkpoint_path,
-            retry_policy=retry_policy, fault_spec=fault_spec, store=store,
+            self, workers=workers, retry_policy=retry_policy,
+            fault_spec=fault_spec, store=store,
         )
 
     # ------------------------------------------------------------------
@@ -336,10 +422,10 @@ class Application(abc.ABC):
         self._sim_cache.clear()
 
     def __getstate__(self) -> dict:
-        # Keep pickles (process-pool workers, checkpoint tooling) small
-        # and robust: caches are recomputed on the other side.  The
-        # attached result store (if any) survives — it holds no open
-        # handles and is exactly what a remote copy should read from.
+        # Keep pickles (process-pool workers) small and robust:
+        # caches are recomputed on the other side.  The attached
+        # result store (if any) survives — it holds no open handles
+        # and is exactly what a remote copy should read from.
         state = dict(self.__dict__)
         state["_kernel_cache"] = {}
         state["_fingerprint_cache"] = {}

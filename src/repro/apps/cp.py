@@ -55,6 +55,9 @@ class CoulombicPotential(Application):
         self.num_points = num_points
         self.num_atoms = num_atoms
 
+    def identity(self):
+        return {"num_points": self.num_points, "num_atoms": self.num_atoms}
+
     # ------------------------------------------------------------------
 
     def space(self) -> ConfigSpace:

@@ -61,6 +61,9 @@ class MatMul(Application):
             )
         self.n = n
 
+    def identity(self):
+        return {"n": self.n}
+
     # ------------------------------------------------------------------
 
     def space(self) -> ConfigSpace:

@@ -80,6 +80,10 @@ class MriFhd(Application):
         self.num_samples = num_samples
         self.layout = layout
 
+    def identity(self):
+        return {"num_voxels": self.num_voxels,
+                "num_samples": self.num_samples, "layout": self.layout}
+
     # ------------------------------------------------------------------
 
     def space(self) -> ConfigSpace:

@@ -68,6 +68,10 @@ class SumOfAbsoluteDifferences(Application):
         self.blocks_y = height // BLOCK_EDGE
         self.num_macroblocks = self.blocks_x * self.blocks_y
 
+    def identity(self):
+        return {"width": self.width, "height": self.height,
+                "search_width": self.search_width}
+
     # ------------------------------------------------------------------
 
     def space(self) -> ConfigSpace:

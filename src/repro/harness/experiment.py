@@ -10,15 +10,16 @@ so a multi-strategy experiment performs exactly one static-metric pass
 over the space and never simulates the same configuration twice — the
 Pareto and random searches are served from the exhaustive pass's
 cache.  ``workers`` fans the exhaustive measurement out across a
-process pool; ``checkpoint_path`` lets an interrupted sweep resume.
+process pool; ``store`` lets an interrupted sweep resume.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.apps.base import Application
 from repro.arch.occupancy import LaunchError
@@ -52,6 +53,25 @@ class AppExperiment:
     @property
     def name(self) -> str:
         return self.app.name
+
+    @functools.cached_property
+    def _explored(self) -> Dict:
+        return {entry.config: entry for entry in self.exhaustive.evaluated}
+
+    def evaluate(self, config):
+        """The full exploration's static metrics for ``config``; raises
+        :class:`LaunchError` for an invalid one, like
+        :meth:`Application.evaluate`, but recomputes nothing — the
+        figures read a store-resumed experiment without building a
+        kernel."""
+        entry = self._explored[config]
+        if not entry.is_valid:
+            raise LaunchError(entry.invalid_reason)
+        return entry.metrics
+
+    def simulate(self, config) -> float:
+        """The full exploration's measured seconds for ``config``."""
+        return self._explored[config].seconds
 
     @property
     def optimum_on_curve(self) -> bool:
@@ -101,9 +121,11 @@ class AppExperiment:
         crashing the whole experiment.
         """
         hand = self.app.default_configuration()
-        for entry in self.exhaustive.timed:
-            if entry.config == hand:
-                return entry.seconds / self.exhaustive.best.seconds
+        entry = self._explored.get(hand)
+        if entry is not None:
+            if not entry.is_valid:
+                return float("nan")
+            return entry.seconds / self.exhaustive.best.seconds
         try:
             return self.app.simulate(hand) / self.exhaustive.best.seconds
         except LaunchError:
@@ -125,7 +147,6 @@ def run_experiment(
     include_random: bool = False,
     random_seed: int = 0,
     workers: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
     engine: Optional[ExecutionEngine] = None,
     retry_policy=None,
     fault_spec: Optional[str] = None,
@@ -139,16 +160,17 @@ def run_experiment(
     (``None``) defers to the ``REPRO_WORKERS`` environment variable,
     so a whole suite can be switched to pooled execution without
     touching call sites (results are bit-identical either way).
-    ``checkpoint_path`` turns on the on-disk resume cache.
     ``retry_policy`` and ``fault_spec`` configure the scheduler's
     fault-tolerance knobs and deterministic fault injection (``None``
     defers to ``REPRO_TASK_TIMEOUT``/``REPRO_TASK_RETRIES`` and
     ``REPRO_FAULTS``).  ``store`` — a directory path or
     :class:`~repro.store.ResultStore`, defaulting to ``REPRO_STORE``
     — layers the persistent result store under the app's simulator
-    cache, so artifacts survive across harness invocations.  Pass an
-    ``engine`` to reuse caches across calls — otherwise one is created
-    (and its pool torn down) per experiment.
+    cache, so artifacts survive across harness invocations, and keeps
+    every finished configuration in its ``config`` tier, so an
+    interrupted sweep rerun against the same store resumes where it
+    stopped.  Pass an ``engine`` to reuse caches across calls —
+    otherwise one is created (and its pool torn down) per experiment.
 
     ``zoo_strategies`` names adaptive strategies from the registry to
     run after the paper protocol, each in both compositions (the full
@@ -163,8 +185,8 @@ def run_experiment(
     owns_engine = engine is None
     if engine is None:
         engine = ExecutionEngine.for_app(
-            app, workers=workers, checkpoint_path=checkpoint_path,
-            retry_policy=retry_policy, fault_spec=fault_spec, store=store,
+            app, workers=workers, retry_policy=retry_policy,
+            fault_spec=fault_spec, store=store,
         )
     try:
         with span("harness.experiment", cat="harness", app=app.name,

@@ -29,7 +29,9 @@ def figure3_series(app: Optional[MatMul] = None) -> List[Dict]:
     """Matmul runtimes over the Figure 3 space (spilling off).
 
     Invalid configurations (the paper's far-right prefetch point) get
-    ``time_ms=None``.
+    ``time_ms=None``.  ``app`` may also be a matmul
+    :class:`AppExperiment`, whose full exploration already holds every
+    number the figure needs.
     """
     app = app or MatMul()
     rows = []
@@ -83,7 +85,8 @@ def figure5_series(
 
     The reciprocals are normalized to their maxima, as in the paper
     ("We plot the normalized reciprocals of the performance metrics,
-    so lower is better in both plots").
+    so lower is better in both plots").  ``app`` may also be a cp
+    :class:`AppExperiment`, as for :func:`figure3_series`.
     """
     app = app or CoulombicPotential()
     tilings = (1, 2, 4, 8, 16)

@@ -101,7 +101,7 @@ def render_report(
         write("## Figure 3 — matrix multiplication optimization space\n\n")
         write("```\n")
         write("tile  rect  unroll    normal(ms)  prefetch(ms)\n")
-        series = figure3_series(by_name["matmul"].app)
+        series = figure3_series(by_name["matmul"])
         paired: Dict[tuple, Dict[bool, Optional[float]]] = {}
         for row in series:
             key = (row["tile"], row["rect"], row["unroll"])
@@ -136,7 +136,7 @@ def render_report(
         write("## Figure 5 — CP metrics versus performance\n\n")
         write("```\n")
         write("tiling  time(ms)  1/eff(norm)  1/util(norm)\n")
-        for row in figure5_series(by_name["cp"].app):
+        for row in figure5_series(by_name["cp"]):
             write(
                 f"{row['tiling']:>6}  {row['time_s'] * 1e3:8.3f}  "
                 f"{row['inv_efficiency_norm']:11.3f}  "
@@ -219,8 +219,8 @@ def render_report(
         write(format_table(
             telemetry,
             ["application", "workers", "static_evals", "simulations",
-             "cache_hits", "checkpoint_hits", "evaluate_wall_s",
-             "simulate_wall_s", "pool_fallbacks"],
+             "cache_hits", "evaluate_wall_s", "simulate_wall_s",
+             "pool_fallbacks"],
         ))
         write("\n```\n\n")
         if any(row["pool_fallbacks"] for row in telemetry):

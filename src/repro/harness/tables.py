@@ -69,7 +69,6 @@ def engine_rows(experiments: Sequence[AppExperiment]) -> List[Dict]:
             "static_evals": stats.static_evaluations,
             "simulations": stats.simulations,
             "cache_hits": stats.cache_hits,
-            "checkpoint_hits": stats.checkpoint_hits,
             "evaluate_wall_s": stats.evaluate_seconds,
             "simulate_wall_s": stats.simulate_seconds,
             "pool_fallbacks": getattr(stats, "pool_fallbacks", 0),

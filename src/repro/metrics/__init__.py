@@ -10,12 +10,7 @@ from repro.metrics.coalescing import (
     coalescing_adjusted,
 )
 from repro.metrics.efficiency import efficiency
-from repro.metrics.model import (
-    MetricReport,
-    evaluate_kernel,
-    report_from_json,
-    report_to_json,
-)
+from repro.metrics.model import MetricReport, evaluate_kernel
 from repro.metrics.utilization import utilization
 
 __all__ = [
@@ -29,7 +24,5 @@ __all__ = [
     "efficiency",
     "estimate_bandwidth",
     "evaluate_kernel",
-    "report_from_json",
-    "report_to_json",
     "utilization",
 ]

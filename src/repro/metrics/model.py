@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from typing import Any, Dict
-
 from repro.arch.constants import GEFORCE_8800_GTX, DeviceSpec
 from repro.arch.occupancy import Occupancy
 from repro.cubin.resources import ResourceUsage, cubin_info
@@ -18,8 +16,7 @@ from repro.ir.kernel import Kernel
 from repro.metrics.bandwidth import BandwidthEstimate, estimate_bandwidth
 from repro.metrics.efficiency import efficiency
 from repro.metrics.utilization import utilization
-from repro.ptx.analysis import ExecutionProfile, MemoryTraffic, profile_kernel
-from repro.ptx.isa import InstrClass
+from repro.ptx.analysis import ExecutionProfile, profile_kernel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,76 +49,6 @@ class MetricReport:
             self.efficiency > other.efficiency
             or self.utilization > other.utilization
         )
-
-
-def report_to_json(report: MetricReport) -> Dict[str, Any]:
-    """Serialize a :class:`MetricReport` to JSON-compatible primitives.
-
-    The engine's on-disk checkpoint (``repro.tuning.engine``, format
-    version 2) persists static-stage results with this; the round trip
-    is bit-exact — ``json`` emits shortest-repr floats, which Python
-    parses back to the identical double — so a resumed sweep is
-    indistinguishable from a cold one.
-    """
-    profile = report.profile
-    return {
-        "efficiency": report.efficiency,
-        "utilization": report.utilization,
-        "instructions": report.instructions,
-        "regions": report.regions,
-        "threads": report.threads,
-        "occupancy": {
-            "blocks_per_sm": report.occupancy.blocks_per_sm,
-            "threads_per_block": report.occupancy.threads_per_block,
-            "warps_per_block": report.occupancy.warps_per_block,
-            "limiting_resource": report.occupancy.limiting_resource,
-        },
-        "resources": {
-            "registers_per_thread": report.resources.registers_per_thread,
-            "shared_memory_per_block": report.resources.shared_memory_per_block,
-            "threads_per_block": report.resources.threads_per_block,
-        },
-        "profile": {
-            "instructions": profile.instructions,
-            "regions": profile.regions,
-            "mix": {cls.value: count for cls, count in profile.mix.items()},
-            "traffic": {
-                "load_bytes": profile.traffic.load_bytes,
-                "store_bytes": profile.traffic.store_bytes,
-                "uncoalesced_load_bytes": profile.traffic.uncoalesced_load_bytes,
-                "uncoalesced_store_bytes": profile.traffic.uncoalesced_store_bytes,
-            },
-        },
-        "bandwidth": {
-            "demand_bytes_per_cycle": report.bandwidth.demand_bytes_per_cycle,
-            "available_bytes_per_cycle": report.bandwidth.available_bytes_per_cycle,
-            "memory_instruction_fraction": report.bandwidth.memory_instruction_fraction,
-        },
-    }
-
-
-def report_from_json(data: Dict[str, Any]) -> MetricReport:
-    """Inverse of :func:`report_to_json` (bit-exact round trip)."""
-    profile = data["profile"]
-    return MetricReport(
-        efficiency=data["efficiency"],
-        utilization=data["utilization"],
-        instructions=data["instructions"],
-        regions=data["regions"],
-        threads=data["threads"],
-        occupancy=Occupancy(**data["occupancy"]),
-        resources=ResourceUsage(**data["resources"]),
-        profile=ExecutionProfile(
-            instructions=profile["instructions"],
-            regions=profile["regions"],
-            mix={
-                InstrClass(cls): count
-                for cls, count in profile["mix"].items()
-            },
-            traffic=MemoryTraffic(**profile["traffic"]),
-        ),
-        bandwidth=BandwidthEstimate(**data["bandwidth"]),
-    )
 
 
 def evaluate_kernel(

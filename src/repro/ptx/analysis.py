@@ -250,7 +250,8 @@ def _feed_loop(loop: ForLoop, counter: _RegionCounter) -> None:
     iterations until a state recurs, add ``whole_cycles x delta`` in one
     step, and replay the (shorter-than-a-cycle) tail concretely — the
     result is bit-identical to feeding the expanded stream, not an
-    approximation (pinned against :func:`count_regions_reference`).
+    approximation (pinned against ``count_regions_reference`` in
+    tests/ptx/oracles.py).
     """
     trips = loop.annotated_trips
     seen: Dict[frozenset, Tuple[int, int]] = {}
@@ -292,18 +293,6 @@ def count_regions(kernel: Kernel) -> int:
         )
     counter = _RegionCounter(sfu_blocks=not kernel_has_longer_latency_than_sfu(kernel))
     _feed_statements(kernel.body, counter)
-    return counter.regions
-
-
-def count_regions_reference(kernel: Kernel) -> int:
-    """The straightforward ``Regions`` computation: feed the fully
-    expanded dynamic stream through the state machine, one instruction
-    at a time.  Kept as the differential-testing oracle (and the
-    reference pipeline of the static benchmark) for
-    :func:`count_regions`."""
-    counter = _RegionCounter(sfu_blocks=not kernel_has_longer_latency_than_sfu(kernel))
-    for op in expand_dynamic(kernel):
-        counter.feed(op)
     return counter.regions
 
 

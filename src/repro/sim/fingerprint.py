@@ -357,7 +357,8 @@ class SimulationCache:
         for tier, key, obj in entries:
             if tier == "sm":
                 key = tuple(key)
-            tiers[tier].setdefault(key, obj)
+            if tier in tiers:  # kernels live in the app's own memo
+                tiers[tier].setdefault(key, obj)
             if self._store is not None and (tier, key) not in self._store_seen:
                 self._store_seen.add((tier, key))
                 self._store.store(tier, key, obj)
@@ -517,6 +518,15 @@ class SimulationCache:
         self.blocks_resident += result.blocks_resident
         self.events_replayed += result.events_replayed
         self._store_put("sm", (fingerprint, blocks_sampled), result)
+
+    # -- built kernels (the app keeps them in memory) --------------------
+
+    def load_kernel(self, key: str) -> Optional[Kernel]:
+        """A kernel from the store's ``kernel`` tier, or ``None``."""
+        return self._store_load("kernel", key)
+
+    def store_kernel(self, key: str, kernel: Kernel) -> None:
+        self._store_put("kernel", key, kernel)
 
     # -- bookkeeping -----------------------------------------------------
 

@@ -165,7 +165,7 @@ def simulate_seconds(
     """Scalar timing entry point: estimated seconds for one kernel.
 
     The measurement the search strategies pay for, reduced to the one
-    float the execution engine caches, checkpoints, and ships across
+    float the execution engine caches, stores, and ships across
     process-pool boundaries (see ``repro.tuning.engine``).
     """
     return simulate_kernel(kernel, config, resources, cache).seconds

@@ -10,7 +10,7 @@ interface.
 
 The replay loop is the hot path of every configuration sweep, so it is
 written for speed without changing the model (the straightforward
-heap-loop form lives in ``repro.sim.reference``, and a differential
+heap-loop form lives in ``tests/sim/oracles.py``, and a differential
 test pins the equivalence):
 
 * traces are *compiled* before replay (:func:`compile_trace`): the

@@ -2,8 +2,8 @@
 
 See :mod:`repro.store.disk` for the store itself,
 :mod:`repro.store.decoded` for the daemon-wide decoded-entry cache,
-:mod:`repro.store.atomic` for the shared atomic-write helpers (also
-used by engine checkpoints), and docs/persistent_store.md for the
+:mod:`repro.store.atomic` for the shared atomic-write helpers, and
+docs/persistent_store.md for the
 schema, locking, eviction, and corruption contracts.
 """
 
@@ -11,6 +11,8 @@ from repro.store.atomic import atomic_write_bytes, atomic_write_text, current_um
 from repro.store.decoded import DecodedCache
 from repro.store.disk import (
     COMPILE_TIER,
+    CONFIG_TIER,
+    KERNEL_TIER,
     RESOURCES_TIER,
     ResultStore,
     SCHEMA_VERSION,
@@ -26,7 +28,9 @@ from repro.store.disk import (
 
 __all__ = [
     "COMPILE_TIER",
+    "CONFIG_TIER",
     "DecodedCache",
+    "KERNEL_TIER",
     "RESOURCES_TIER",
     "ResultStore",
     "SCHEMA_VERSION",

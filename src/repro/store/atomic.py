@@ -1,16 +1,17 @@
 """Atomic file writes that honor the process umask.
 
-Every durable artifact in this repository — engine checkpoints, store
-entries, the store's version marker — is written the same way: to a
+Every durable artifact in this repository — store entries (the
+engine's per-configuration results among them), the store's version
+marker, the daemon's ready file — is written the same way: to a
 temporary file in the destination directory, flushed, then moved over
 the target with :func:`os.replace`, so readers only ever observe a
 missing file or a complete one.
 
 ``tempfile.mkstemp`` deliberately creates files ``0600`` regardless of
 the umask (its security contract).  That is wrong for a *published*
-artifact: a checkpoint written by one user could not be resumed by a
-teammate sharing the directory, and a shared result store would be
-readable only by whoever happened to write each entry first.  The
+artifact: a sweep written by one user could not be resumed by a
+teammate sharing the directory, because the shared result store would
+be readable only by whoever happened to write each entry first.  The
 helpers here re-apply the conventional ``0666 & ~umask`` mode to the
 temporary file before the rename, so the final file carries the same
 permissions a plain ``open(path, "w")`` would have produced.

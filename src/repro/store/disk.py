@@ -9,6 +9,13 @@ usage, loop-compressed warp traces, and ``(fingerprint,
 blocks_sampled)``-keyed SM replays — keyed by the PR 2/4
 ``kernel_fingerprint``, so any process that computes the same
 post-transform kernel reads the artifact instead of recomputing it.
+Two more families are keyed per configuration, by
+:meth:`repro.apps.base.Application.result_key`: ``config`` holds its
+finished results (static entry and measured seconds), which the
+execution engine reads before building any kernel, so a resumed sweep
+does no work; ``kernel`` holds its built kernel, which
+:meth:`~repro.apps.base.Application.kernel` loads instead of
+rebuilding.
 
 On-disk layout (all paths relative to the store root)::
 
@@ -17,14 +24,15 @@ On-disk layout (all paths relative to the store root)::
     <tier>/<fp[:2]>/<name>.entry
 
 where ``tier`` is one of ``resources`` / ``trace`` / ``sm`` /
-``compile``, ``fp`` is the 64-hex-char kernel fingerprint, and
-``name`` is the fingerprint itself (``sm`` entries append
-``-<blocks_sampled>``).  Each entry file is::
+``compile`` / ``config`` / ``kernel``, ``fp`` is the 64-hex-char
+kernel fingerprint (the result key for ``config`` and ``kernel``), and
+``name`` is that key itself
+(``sm`` entries append ``-<blocks_sampled>``).  Each entry file is::
 
     repro-store <schema> <tier> <sha256(payload)> <len(payload)>\\n
     <payload>                   # pickled artifact
 
-Contracts (mirroring the PR 5 checkpoint-recovery contract):
+Contracts:
 
 * **atomicity** — entries and the version marker are written via
   tmp-file + :func:`os.replace` (see :mod:`repro.store.atomic`), so a
@@ -102,7 +110,13 @@ RESOURCES_TIER = "resources"
 TRACE_TIER = "trace"
 SM_TIER = "sm"
 COMPILE_TIER = "compile"
-TIERS = (RESOURCES_TIER, TRACE_TIER, SM_TIER, COMPILE_TIER)
+#: per-configuration entries, keyed by ``Application.result_key``: the
+#: engine's results (static entry + measured seconds) and the built
+#: kernels ``Application.kernel`` would otherwise rebuild
+CONFIG_TIER = "config"
+KERNEL_TIER = "kernel"
+TIERS = (RESOURCES_TIER, TRACE_TIER, SM_TIER, COMPILE_TIER, CONFIG_TIER,
+         KERNEL_TIER)
 
 #: environment variable naming the store directory (the harness's
 #: ``--store`` flag wins when both are given)
@@ -645,6 +659,8 @@ def resolve_store(
 
 __all__ = [
     "COMPILE_TIER",
+    "CONFIG_TIER",
+    "KERNEL_TIER",
     "MAGIC",
     "RESOURCES_TIER",
     "ResultStore",

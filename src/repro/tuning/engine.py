@@ -22,12 +22,13 @@ timed.  The :class:`ExecutionEngine` owns the space instead:
   order, so ``workers=4`` is bit-identical to ``workers=1`` — results
   *and* telemetry counters — even under injected faults (see
   :mod:`repro.obs.faults`);
-* an opt-in JSON checkpoint (format version 2) persists measured
-  times *and* static-stage results on disk, flushed incrementally as
-  results stream in (every ``checkpoint_interval`` new results), so an
-  interrupted or killed sweep resumes losslessly; a truncated or
-  corrupt checkpoint is detected, warned about, and discarded — the
-  sweep restarts cleanly instead of crashing on a raw decode error;
+* with a result store attached, every static entry and measured time
+  is written to the store's ``config`` tier the moment it arrives,
+  keyed by :meth:`~repro.apps.base.Application.result_key`, and read
+  back on a memo miss before any work is dispatched — so an
+  interrupted or killed sweep resumes losslessly, building no kernel
+  for a configuration it already finished; a damaged entry is a
+  counted store miss and is recomputed;
 * telemetry (evaluated counts, cache hits, wall time per stage,
   retries/timeouts/quarantines) is recorded on :class:`EngineStats`
   and surfaced by the harness report.  Pool workers return a counter
@@ -53,11 +54,11 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arch.occupancy import LaunchError
-from repro.metrics.model import MetricReport, report_from_json, report_to_json
+from repro.metrics.model import MetricReport
 from repro.obs.faults import FAULTS_ENV, FaultPlan
 from repro.obs.metrics import Counters
 from repro.obs.trace import span
-from repro.store import ResultStore, atomic_write_text, resolve_store
+from repro.store import CONFIG_TIER, ResultStore, resolve_store
 from repro.tuning.scheduler import (
     SIMULATE,
     SIMULATE_GROUP,
@@ -77,10 +78,9 @@ Simulate = Callable[[Configuration], float]
 #: A static-stage cache entry: (metrics, invalid_reason) — exactly one
 #: of the two is populated.
 StaticEntry = Tuple[Optional[MetricReport], Optional[str]]
-
-CHECKPOINT_VERSION = 2
-#: Version-1 checkpoints (times only, no "static" section) still load.
-SUPPORTED_CHECKPOINT_VERSIONS = frozenset({1, CHECKPOINT_VERSION})
+#: A ``config``-tier store entry: (static entry, measured seconds),
+#: either half ``None`` until that stage has produced it.
+ConfigEntry = Tuple[Optional[StaticEntry], Optional[float]]
 
 
 @dataclasses.dataclass
@@ -98,18 +98,16 @@ class EvaluatedConfig:
 
 
 def config_key(config: Configuration) -> str:
-    """Stable string key for a configuration (the checkpoint format).
+    """Stable string form of a configuration, independent of key order.
 
     Sorted-key JSON of the parameter mapping; values outside the JSON
     types fall back to ``repr``.  In memory the engine keys caches by
-    the (hashable) configuration itself — this key only exists so
-    checkpoints survive process boundaries.
+    the (hashable) configuration itself; this string is the
+    configuration's share of the result store's ``config``-tier key
+    (:meth:`repro.apps.base.Application.result_key`), so it must be
+    the same in every process.
     """
     return json.dumps(dict(config), sort_keys=True, default=repr)
-
-
-class _CorruptCheckpoint(Exception):
-    """Internal marker: the checkpoint file cannot be trusted."""
 
 
 @dataclasses.dataclass
@@ -121,9 +119,6 @@ class EngineStats:
     static_cache_hits: int = 0       # evaluate requests served from memory
     simulations: int = 0             # underlying simulate() calls
     simulation_cache_hits: int = 0   # simulate requests served from memory
-    checkpoint_hits: int = 0         # measured times restored from disk
-    checkpoint_static_hits: int = 0  # static results restored from disk
-    checkpoint_corrupt: int = 0      # corrupt checkpoints discarded on load
     evaluate_seconds: float = 0.0    # wall time in the static stage
     simulate_seconds: float = 0.0    # wall time in the measurement stage
     pool_batches: int = 0            # batches dispatched to the pool
@@ -159,8 +154,10 @@ class EngineStats:
     events_replayed: int = 0             # dynamic trace events replayed
 
     # Persistent result-store telemetry (see repro.store).  Mirrored
-    # from the SimulationCache like the fingerprint counters above;
-    # all zero when no store is attached.
+    # from the SimulationCache like the fingerprint counters above, and
+    # covering the engine's own config-tier reads (static entries and
+    # times restored from disk count as store hits); all zero when no
+    # store is attached.
     store_hits: int = 0                  # artifacts read from disk
     store_misses: int = 0                # disk lookups that fell through
     store_evictions: int = 0             # entries dropped by the LRU bound
@@ -225,7 +222,6 @@ class EngineStats:
             f"sims={self.simulations} cache_hits={self.cache_hits} "
             f"fp_hits={self.fingerprint_hits} "
             f"compile_hits={self.compile_hits} "
-            f"ckpt_hits={self.checkpoint_hits} "
             f"eval_wall={self.evaluate_seconds:.3f}s "
             f"sim_wall={self.simulate_seconds:.3f}s"
         )
@@ -267,23 +263,6 @@ class ExecutionEngine:
         Worker-pool width for sweep fan-out.  ``1`` (default) runs
         everything in-process; ``None`` reads ``REPRO_WORKERS`` from
         the environment (default 1).
-    checkpoint_path:
-        Optional JSON file persisting measured times and static-stage
-        results (format version 2; version-1 files still load).
-        Loaded (if it exists) on construction and rewritten atomically
-        every ``checkpoint_interval`` new results — results stream in
-        completion order, so an interrupt mid-batch loses at most
-        ``checkpoint_interval`` results.  A corrupt or truncated file
-        is discarded with a warning (``checkpoint_corrupt`` counts it)
-        and the sweep restarts fresh.
-    checkpoint_interval:
-        How many new results (measurements or static evaluations) may
-        accumulate before the checkpoint is rewritten mid-batch
-        (default 16).
-    label:
-        Optional tag (usually the application name) stored in the
-        checkpoint and validated on resume, so a sweep cannot silently
-        resume from another application's times.
     sim_cache:
         Optional :class:`repro.sim.fingerprint.SimulationCache` whose
         counters are mirrored into :attr:`stats` after every
@@ -310,6 +289,14 @@ class ExecutionEngine:
         home with their counter deltas.  Results are bit-identical
         with the store absent, cold, or warm — it only changes how
         fast they arrive.
+    result_key:
+        ``config -> str`` naming a configuration's entry in the store's
+        ``config`` tier (``for_app`` passes
+        :meth:`~repro.apps.base.Application.result_key`).  With a store
+        and this key, each static entry and measured time is written
+        there as it arrives (parent process only), and read back on a
+        memo miss before any work is dispatched.  Without it — an
+        engine over bare callables — there is no config tier.
     """
 
     def __init__(
@@ -317,15 +304,13 @@ class ExecutionEngine:
         evaluate: Evaluate,
         simulate: Simulate,
         workers: Optional[int] = 1,
-        checkpoint_path: Optional[str] = None,
-        label: Optional[str] = None,
-        checkpoint_interval: int = 16,
         sim_cache=None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_spec: Optional[str] = None,
         store: Union[ResultStore, str, None] = None,
         simulate_group: Optional[Callable[[Sequence[Configuration]], List[float]]] = None,
         group_key: Optional[Callable[[Configuration], Any]] = None,
+        result_key: Optional[Callable[[Configuration], str]] = None,
     ) -> None:
         self._evaluate = evaluate
         self._simulate = simulate
@@ -354,10 +339,7 @@ class ExecutionEngine:
             # (e.g. the application wired one up); surface it.
             self.store = getattr(sim_cache, "store", None)
         self.workers = resolve_workers(workers)
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_interval = max(1, int(checkpoint_interval))
-        self._unsaved_results = 0
-        self.label = label
+        self._result_key = result_key if self.store is not None else None
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy.from_env()
         )
@@ -370,30 +352,28 @@ class ExecutionEngine:
         self.stats = EngineStats(workers=self.workers)
         self._static: Dict[Configuration, StaticEntry] = {}
         #: configurations whose static entry was just produced by a
-        #: batch prefill (pool fan-out or checkpoint claim) and not yet
-        #: handed to a caller.  The first ``evaluate_config`` for such
-        #: a config consumes the mark instead of counting a cache hit,
-        #: so EngineStats is bit-identical across worker counts.
+        #: batch prefill (pool fan-out or a config-tier read) and not
+        #: yet handed to a caller.  The first ``evaluate_config`` for
+        #: such a config consumes the mark instead of counting a cache
+        #: hit, so EngineStats is bit-identical across worker counts.
         self._static_fresh: set = set()
         self._seconds: Dict[Configuration, float] = {}
-        #: times loaded from disk, keyed by config_key, not yet claimed
-        self._checkpoint_times: Dict[str, float] = {}
-        #: static results loaded from disk, keyed by config_key
-        self._checkpoint_static: Dict[str, StaticEntry] = {}
+        #: config-tier key of every configuration whose entry this
+        #: engine has read (hit or miss) — each is read at most once
+        self._result_keys: Dict[Configuration, str] = {}
+        #: measured times read from the config tier, not yet claimed
+        self._stored_seconds: Dict[Configuration, float] = {}
         self._scheduler: Optional[SweepScheduler] = None
         self._pool_broken = False
         #: simulator-cache counter deltas returned by pool workers,
         #: merged into ``stats`` alongside the in-process counters
         self._pool_counters = Counters()
-        if checkpoint_path:
-            self._load_checkpoint()
 
     @classmethod
     def for_app(
         cls,
         app,
         workers: Optional[int] = 1,
-        checkpoint_path: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_spec: Optional[str] = None,
         store: Union[ResultStore, str, None] = None,
@@ -403,14 +383,13 @@ class ExecutionEngine:
             app.evaluate,
             app.simulate,
             workers=workers,
-            checkpoint_path=checkpoint_path,
-            label=app.name,
             sim_cache=getattr(app, "sim_cache", None),
             retry_policy=retry_policy,
             fault_spec=fault_spec,
             store=store,
             simulate_group=getattr(app, "simulate_group", None),
             group_key=getattr(app, "trace_group_key", None),
+            result_key=getattr(app, "result_key", None),
         )
 
     # ------------------------------------------------------------------
@@ -456,20 +435,18 @@ class ExecutionEngine:
 
     def evaluate_config(self, config: Configuration) -> EvaluatedConfig:
         """One configuration through the static-metric cache."""
+        if config not in self._static:
+            self._read_stored([config])
         cached = self._static.get(config)
         if cached is None:
-            key = config_key(config)
-            if key in self._checkpoint_static:
-                cached = self._claim_checkpoint_static(config, key)
-            else:
-                try:
-                    cached = (self._evaluate(config), None)
-                except LaunchError as error:
-                    cached = (None, str(error))
-                self._record_static(config, cached)
+            try:
+                cached = (self._evaluate(config), None)
+            except LaunchError as error:
+                cached = (None, str(error))
+            self._record_static(config, cached)
         elif config in self._static_fresh:
-            # First claim of a batch-prefilled result: the evaluation
-            # was already counted when the prefill produced it.
+            # First claim of a prefilled result: the evaluation (or
+            # the store hit) was counted when the prefill produced it.
             self._static_fresh.discard(config)
         else:
             self.stats.static_cache_hits += 1
@@ -484,13 +461,15 @@ class ExecutionEngine:
         the shared metric cache: the underlying ``evaluate`` runs at
         most once per configuration over the engine's lifetime.
 
-        Cache misses fan out across the sweep scheduler when ``workers
-        > 1`` (the same worker pool, retry policy, and fallback rules
-        as the measurement stage); results are keyed by configuration
-        and claimed in request order, so reports, invalid reasons,
-        *and* the EngineStats counters are bit-identical to a serial
-        run.  Tasks the scheduler abandons (retry budget exhausted)
-        are evaluated in-process by ``evaluate_config`` below.
+        Memo misses are first looked up in the store's ``config`` tier
+        (one bulk read); what remains fans out across the sweep
+        scheduler when ``workers > 1`` (the same worker pool, retry
+        policy, and fallback rules as the measurement stage); results
+        are keyed by configuration and claimed in request order, so
+        reports, invalid reasons, *and* the EngineStats counters are
+        bit-identical to a serial run.  Tasks the scheduler abandons
+        (retry budget exhausted) are evaluated in-process by
+        ``evaluate_config`` below.
         """
         started = time.perf_counter()
         with span("engine.evaluate_batch", cat="engine",
@@ -500,39 +479,22 @@ class ExecutionEngine:
             for config in configs:
                 if config in self._static or config in seen:
                     continue
-                key = config_key(config)
-                if key in self._checkpoint_static:
-                    self._claim_checkpoint_static(config, key)
-                    self._static_fresh.add(config)
-                    continue
                 seen.add(config)
                 missing.append(config)
+            self._read_stored(missing)
+            missing = [config for config in missing if config not in self._static]
             batch_span.add_args(missing=len(missing))
             if self.workers > 1 and len(missing) > 1:
                 self._evaluate_missing_pooled(missing)
             entries = [self.evaluate_config(config) for config in configs]
-            if missing:
-                self._save_checkpoint()
         self.stats.evaluate_seconds += time.perf_counter() - started
         self._sync_sim_stats()
         return entries
 
-    def _claim_checkpoint_static(
-        self, config: Configuration, key: str
-    ) -> StaticEntry:
-        """Move one static result from the loaded checkpoint into the
-        in-memory cache (counted once, like a measured-time claim)."""
-        cached = self._checkpoint_static.pop(key)
-        self._static[config] = cached
-        self.stats.checkpoint_static_hits += 1
-        return cached
-
     def _record_static(self, config: Configuration, cached: StaticEntry) -> None:
         self._static[config] = cached
         self.stats.static_evaluations += 1
-        self._unsaved_results += 1
-        if self.checkpoint_path and self._unsaved_results >= self.checkpoint_interval:
-            self._save_checkpoint()
+        self._write_stored(config)
 
     def _evaluate_missing_pooled(self, configs: List[Configuration]) -> None:
         """Fan the static stage out across the sweep scheduler.
@@ -579,10 +541,10 @@ class ExecutionEngine:
         """Measured seconds for each configuration, in request order.
 
         Cache misses are simulated (through the scheduler when
-        ``workers > 1``); hits are returned from memory or the
-        checkpoint.  The returned list always aligns with ``configs``,
-        so callers see deterministic ordering regardless of worker
-        count.
+        ``workers > 1``); hits are returned from memory or the store's
+        ``config`` tier.  The returned list always aligns with
+        ``configs``, so callers see deterministic ordering regardless
+        of worker count.
         """
         started = time.perf_counter()
         with span("engine.simulate_batch", cat="engine",
@@ -593,18 +555,18 @@ class ExecutionEngine:
                 if config in self._seconds:
                     self.stats.simulation_cache_hits += 1
                     continue
-                restored = self._checkpoint_times.pop(config_key(config), None)
-                if restored is not None:
-                    self._seconds[config] = restored
-                    self.stats.checkpoint_hits += 1
-                    continue
                 if config not in seen:
                     seen.add(config)
                     missing.append(config)
+            self._read_stored(missing)
+            for config in missing:
+                restored = self._stored_seconds.pop(config, None)
+                if restored is not None:
+                    self._seconds[config] = restored
+            missing = [config for config in missing if config not in self._seconds]
             batch_span.add_args(missing=len(missing))
             if missing:
                 self._simulate_missing(missing)
-                self._save_checkpoint()
         self.stats.simulate_seconds += time.perf_counter() - started
         self._sync_sim_stats()
         return [self._seconds[config] for config in configs]
@@ -652,9 +614,9 @@ class ExecutionEngine:
         return grouped, singles
 
     def _simulate_missing(self, configs: List[Configuration]) -> None:
-        """Measure every config, recording (and checkpointing) results
-        as they stream in — an interrupt mid-batch loses at most
-        ``checkpoint_interval`` measurements."""
+        """Measure every config, recording (and storing) results as
+        they stream in — an interrupt mid-batch loses only the
+        measurements still in flight."""
         grouped, remaining = self._trace_groups(configs)
         if grouped:
             self._simulate_groups(grouped)
@@ -798,9 +760,7 @@ class ExecutionEngine:
     def _record_time(self, config: Configuration, seconds: float) -> None:
         self._seconds[config] = seconds
         self.stats.simulations += 1
-        self._unsaved_results += 1
-        if self.checkpoint_path and self._unsaved_results >= self.checkpoint_interval:
-            self._save_checkpoint()
+        self._write_stored(config)
 
     def _ensure_scheduler(self) -> Optional[SweepScheduler]:
         if self._pool_broken:
@@ -827,135 +787,45 @@ class ExecutionEngine:
         return self._scheduler
 
     # ------------------------------------------------------------------
-    # Checkpointing.
+    # The store's config tier.
 
-    def _load_checkpoint(self) -> None:
-        path = self.checkpoint_path
-        if not path or not os.path.exists(path):
+    def _read_stored(self, configs: Sequence[Configuration]) -> None:
+        """Read the ``config``-tier entries of ``configs`` (one bulk read).
+
+        Only configurations this engine has never asked the store about
+        are read, so each entry costs at most one read per engine and
+        the store counters stay identical for every worker count.
+        Restored static entries land in the memo fresh-marked (the
+        store hit already counted them); restored times wait in
+        ``_stored_seconds`` until ``seconds_for`` claims them.
+        """
+        if self._result_key is None:
             return
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-            if not isinstance(data, dict):
-                raise _CorruptCheckpoint(
-                    f"top-level payload is {type(data).__name__}, not an object"
-                )
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            self._discard_corrupt_checkpoint(path, str(error))
+        wanted: Dict[str, Configuration] = {}
+        for config in configs:
+            if config not in self._result_keys:
+                key = self._result_keys[config] = self._result_key(config)
+                wanted[key] = config
+        if not wanted:
             return
-        except _CorruptCheckpoint as error:
-            self._discard_corrupt_checkpoint(path, str(error))
+        for key, (static, seconds) in self.store.load_many(
+            CONFIG_TIER, wanted
+        ).items():
+            config = wanted[key]
+            if static is not None and config not in self._static:
+                self._static[config] = static
+                self._static_fresh.add(config)
+            if seconds is not None and config not in self._seconds:
+                self._stored_seconds[config] = seconds
+
+    def _write_stored(self, config: Configuration) -> None:
+        """Persist one configuration's results as they stand now."""
+        if self._result_key is None:
             return
-        version = data.get("version")
-        if version is None:
-            # A dict without a version marker is a truncation artifact,
-            # not a deliberate format choice — recover, don't crash.
-            self._discard_corrupt_checkpoint(path, "missing 'version' field")
-            return
-        if version not in SUPPORTED_CHECKPOINT_VERSIONS:
-            raise ValueError(
-                f"checkpoint {path!r}: unsupported version {version!r} "
-                f"(expected one of {sorted(SUPPORTED_CHECKPOINT_VERSIONS)})"
-            )
-        stored_label = data.get("label")
-        if self.label and stored_label and stored_label != self.label:
-            raise ValueError(
-                f"checkpoint {path!r} belongs to {stored_label!r}, "
-                f"not {self.label!r}; refusing to resume from it"
-            )
-        try:
-            self._checkpoint_times = _parse_checkpoint_times(data)
-            self._checkpoint_static = _parse_checkpoint_static(data)
-        except _CorruptCheckpoint as error:
-            self._checkpoint_times = {}
-            self._checkpoint_static = {}
-            self._discard_corrupt_checkpoint(path, str(error))
-
-    def _discard_corrupt_checkpoint(self, path: str, reason: str) -> None:
-        """A checkpoint we cannot trust is dropped, not fatal: the
-        sweep restarts from scratch and the next save overwrites the
-        bad file.  Counted so the harness can surface it."""
-        self.stats.checkpoint_corrupt += 1
-        logger.warning(
-            "checkpoint %r is corrupt (%s); ignoring it and "
-            "restarting the sweep fresh", path, reason,
-        )
-
-    def _save_checkpoint(self) -> None:
-        path = self.checkpoint_path
-        if not path:
-            return
-        times = dict(self._checkpoint_times)  # unclaimed entries survive
-        times.update({config_key(c): s for c, s in self._seconds.items()})
-        static: Dict[str, Any] = {}
-        for key, entry in self._checkpoint_static.items():
-            serialized = _static_entry_to_json(entry)
-            if serialized is not None:
-                static[key] = serialized
-        for config, entry in self._static.items():
-            serialized = _static_entry_to_json(entry)
-            if serialized is not None:
-                static[config_key(config)] = serialized
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "label": self.label,
-            "times": times,
-            "static": static,
-        }
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        # Shared atomic-write helper: tmp + os.replace like before, but
-        # with umask-honoring permissions — a raw mkstemp leaves the
-        # checkpoint 0600, unreadable by a teammate resuming the sweep.
-        atomic_write_text(path, json.dumps(payload, indent=1))
-        self._unsaved_results = 0
-
-
-def _parse_checkpoint_times(data: Dict[str, Any]) -> Dict[str, float]:
-    times = data.get("times", {})
-    if not isinstance(times, dict):
-        raise _CorruptCheckpoint("malformed 'times' table")
-    try:
-        return {str(key): float(value) for key, value in times.items()}
-    except (TypeError, ValueError) as error:
-        raise _CorruptCheckpoint(f"malformed time entry: {error}") from None
-
-
-def _parse_checkpoint_static(data: Dict[str, Any]) -> Dict[str, StaticEntry]:
-    static = data.get("static", {})
-    if not isinstance(static, dict):
-        raise _CorruptCheckpoint("malformed 'static' table")
-    parsed: Dict[str, StaticEntry] = {}
-    for key, entry in static.items():
-        if not isinstance(entry, dict):
-            raise _CorruptCheckpoint(f"malformed static entry {key!r}")
-        metrics = entry.get("metrics")
-        try:
-            parsed[str(key)] = (
-                report_from_json(metrics) if metrics is not None else None,
-                entry.get("invalid"),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as error:
-            raise _CorruptCheckpoint(
-                f"unreadable static entry {key!r}: {error}"
-            ) from None
-    return parsed
-
-
-def _static_entry_to_json(entry: StaticEntry) -> Optional[Dict[str, Any]]:
-    """Serialize one static-stage entry for the checkpoint, or ``None``.
-
-    Only full :class:`MetricReport` instances persist; synthetic spy
-    reports used by tests (built via ``__new__`` with a subset of the
-    fields) simply are not checkpointed rather than crashing the save.
-    """
-    metrics, reason = entry
-    if metrics is None:
-        return {"metrics": None, "invalid": reason}
-    try:
-        return {"metrics": report_to_json(metrics), "invalid": reason}
-    except (AttributeError, TypeError):
-        return None
+        # Every result follows its configuration's read, so the key
+        # is already known.
+        entry: ConfigEntry = (self._static.get(config), self._seconds.get(config))
+        self.store.store(CONFIG_TIER, self._result_keys[config], entry)
 
 
 def resolve_workers(workers: Optional[int]) -> int:

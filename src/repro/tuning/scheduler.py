@@ -508,9 +508,9 @@ class SweepScheduler:
         """Run every payload through the pool; stream results back.
 
         ``on_result(index, payload_out, counter_delta)`` is invoked in
-        *completion* order as each task finishes — callers that flush
-        checkpoints inside the callback get genuinely incremental
-        persistence instead of end-of-batch dumps.
+        *completion* order as each task finishes — callers that persist
+        results inside the callback (the engine's store writes) get
+        genuinely incremental persistence instead of end-of-batch dumps.
 
         Returns the sorted indices of tasks that could not be completed
         in the pool (retry budget exhausted, or the pool collapsed);

@@ -1,8 +1,20 @@
 """The ``python -m repro.harness`` entry point."""
 
 import json
+import re
 
+from repro.apps.base import Application
 from repro.harness.__main__ import main, parse_args
+
+#: report sections whose numbers legitimately differ between runs
+TELEMETRY = (r"## (Search engine telemetry|Fault-tolerance telemetry|"
+             r"Simulator cache telemetry|Persistent store telemetry|"
+             r"Per-stage timing).*?(?=## )")
+
+
+def _measured(text):
+    """A report with its run-dependent telemetry sections removed."""
+    return re.sub(TELEMETRY, "", text, flags=re.S)
 
 
 class TestParseArgs:
@@ -22,15 +34,15 @@ class TestParseArgs:
     def test_engine_flags_default_off(self):
         options = parse_args(["prog"])
         assert options.workers is None
-        assert options.resume is None
+        assert options.store is None
         assert options.trace is None
         assert options.profile is None
 
     def test_engine_flags(self):
         options = parse_args(["prog", "--workers", "4",
-                              "--resume", "ckpt_dir"])
+                              "--store", "store_dir"])
         assert options.workers == 4
-        assert options.resume == "ckpt_dir"
+        assert options.store == "store_dir"
 
 
 class TestMain:
@@ -46,11 +58,25 @@ class TestMain:
         code = main(["prog", str(tmp_path / "x.md"), "--apps", "nonesuch"])
         assert code == 2
 
+    def test_bad_fault_spec_rejected_up_front(self, tmp_path, capsys):
+        """Regression: a malformed --faults used to surface from inside
+        the sweep as "cp: unusable checkpoint None: ..."."""
+        output = tmp_path / "x.md"
+        code = main(["prog", str(output), "--apps", "cp", "--no-random",
+                     "--faults", "bogus:zz"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bogus:zz" in err
+        assert "checkpoint" not in err
+        assert not output.exists()
+
     def test_trace_flag_writes_chrome_trace(self, tmp_path, capsys):
         output = tmp_path / "report.md"
         trace = tmp_path / "trace.json"
+        # Serial: pool workers' spans are not collected in this process,
+        # so under REPRO_WORKERS>1 the SM replays would leave no span.
         code = main(["prog", str(output), "--apps", "cp", "--no-random",
-                     "--trace", str(trace)])
+                     "--workers", "1", "--trace", str(trace)])
         assert code == 0
         # the tracer is global state; main() must turn it back off
         from repro.obs import tracing_enabled
@@ -76,8 +102,10 @@ class TestMain:
 
         output = tmp_path / "report.md"
         profile = tmp_path / "sweep.pstats"
+        # Serial, as --profile's help says: pool workers' calls are not
+        # profiled in this process.
         code = main(["prog", str(output), "--apps", "cp", "--no-random",
-                     "--profile", str(profile)])
+                     "--workers", "1", "--profile", str(profile)])
         assert code == 0
         stats = pstats.Stats(str(profile))
         # the sweep really ran under the profiler: the SM replay loop
@@ -86,23 +114,37 @@ class TestMain:
         assert any("simulate_sm" in name for name in functions)
         assert str(profile) in capsys.readouterr().out
 
-    def test_resume_writes_then_reuses_checkpoint(self, tmp_path, capsys):
-        output = tmp_path / "report.md"
-        resume = tmp_path / "ckpt"
-        args = ["prog", str(output), "--apps", "cp", "--no-random",
-                "--resume", str(resume)]
-        assert main(args) == 0
-        checkpoint = resume / "cp.json"
-        assert checkpoint.exists()
-        # measured numbers are deterministic; only the telemetry
-        # section carries run-dependent wall times
-        def measured(text):
-            return text.split("## Search engine telemetry")[0]
-
-        first_report = output.read_text()
+    def test_store_resume_matches_cold_run_and_does_no_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A cold ``--store`` run, then a warm ``--workers 2`` run over
+        the same store: identical reports outside the telemetry
+        sections, store hits, and no evaluation, simulation or kernel
+        build in the warm run."""
+        store = str(tmp_path / "store")
+        cold = tmp_path / "cold.md"
+        warm = tmp_path / "warm.md"
+        assert main(["prog", str(cold), "--apps", "cp", "--no-random",
+                     "--store", store]) == 0
         capsys.readouterr()
-        # second run resumes: no new simulations, identical measurements
-        assert main(args) == 0
+
+        built = []
+        original = Application.kernel
+
+        def counting(self, config):
+            if config not in self._kernel_cache:
+                built.append(config)
+            return original(self, config)
+
+        monkeypatch.setattr(Application, "kernel", counting)
+        assert main(["prog", str(warm), "--apps", "cp", "--no-random",
+                     "--workers", "2", "--store", store]) == 0
         out = capsys.readouterr().out
-        assert "sims=0" in out
-        assert measured(output.read_text()) == measured(first_report)
+        assert "evals=0 sims=0" in out
+        assert built == []
+
+        warm_text = warm.read_text()
+        assert _measured(warm_text) == _measured(cold.read_text())
+        section = warm_text[warm_text.index("## Persistent store telemetry"):]
+        hits = re.search(r"cp\s+\|\s+(\d+)", section)
+        assert hits and int(hits.group(1)) > 0

@@ -13,7 +13,7 @@ import pytest
 from repro.ir import CmpOp, DataType, Dim3, KernelBuilder
 from repro.ir.builder import TID_X
 from repro.ptx import count_regions
-from repro.ptx.analysis import count_regions_reference
+from tests.ptx.oracles import count_regions_reference
 
 F32 = DataType.F32
 

@@ -5,7 +5,7 @@ stack of rewrites — loop-compressed segment walking, a FIFO/heap
 scheduler split, inlined DRAM arithmetic, steady-state wave
 extrapolation.  Each rewrite preserved semantics by construction;
 these tests enforce it empirically against the deliberately simple
-:func:`~repro.sim.reference.simulate_sm_reference` oracle.
+:func:`~tests.sim.oracles.simulate_sm_reference` oracle.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.sim import WarpTrace, simulate_sm
 from repro.sim.config import DEFAULT_SIM_CONFIG
-from repro.sim.reference import simulate_sm_reference
+from tests.sim.oracles import simulate_sm_reference
 from repro.sim.trace import BARRIER, COMPUTE, LOAD, SFU, STORE, USE, build_trace
 
 CORE_FIELDS = (

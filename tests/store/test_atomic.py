@@ -1,15 +1,15 @@
 """Atomic-write helper contract: atomicity plus umask-honoring modes.
 
 ``tempfile.mkstemp`` creates files 0600 regardless of umask; the repo's
-durable artifacts (checkpoints, store entries) are *published* files
-that must carry the permissions a plain ``open(path, "w")`` would
-produce.  These tests pin that, including the engine-checkpoint
-regression the helper was introduced to fix.
+durable artifacts (store entries, the store's version marker) are
+*published* files that must carry the permissions a plain
+``open(path, "w")`` would produce.  These tests pin that, including the
+resume-from-a-shared-directory regression the helper was introduced to
+fix.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 
@@ -79,24 +79,24 @@ def test_mode_honors_umask(tmp_path, restore_umask, umask, expected):
     assert _mode(str(path)) == expected
 
 
-def test_checkpoint_perms_honor_umask(tmp_path, restore_umask):
-    """Regression: engine checkpoints used a raw mkstemp and came out
-    0600 under any umask — unreadable by a teammate resuming the sweep
-    from a shared directory."""
-    from repro.tuning.engine import ExecutionEngine
-    from repro.tuning.space import ConfigSpace
+def test_config_entries_honor_umask(tmp_path, restore_umask):
+    """Regression: resume state used to be written with a raw mkstemp
+    and came out 0600 under any umask — unreadable by a teammate
+    resuming the sweep from a shared directory.  The engine's
+    per-configuration entries must be world-readable under 022."""
+    from repro.apps import CoulombicPotential
+    from repro.store import CONFIG_TIER, ResultStore
 
     os.umask(0o022)
-    space = ConfigSpace({"x": [1, 2]})
-    configs = space.configurations()
-    path = tmp_path / "ckpt.json"
-    engine = ExecutionEngine(
-        evaluate=lambda c: (_ for _ in ()).throw(AssertionError),
-        simulate=lambda c: float(c["x"]),
-        checkpoint_path=str(path),
-        checkpoint_interval=1,
-    )
-    engine.seconds_for(configs)
-    assert _mode(str(path)) == 0o644
-    payload = json.loads(path.read_text())
-    assert payload["version"] == 2
+    app = CoulombicPotential().test_instance()
+    store = ResultStore(str(tmp_path / "store"))
+    configs = app.space().configurations()[:2]
+    with app.search_engine(store=store) as engine:
+        engine.seconds_for(configs)
+    entries = [
+        os.path.join(folder, name)
+        for folder, _dirs, names in os.walk(tmp_path / "store" / CONFIG_TIER)
+        for name in names
+    ]
+    assert len(entries) == len(configs)
+    assert {_mode(path) for path in entries} == {0o644}

@@ -1,10 +1,11 @@
 """Corruption recovery: damage is a warned-about miss, never a crash.
 
-Mirrors the engine-checkpoint recovery matrix
-(tests/tuning/test_checkpoint_resume.py): every flavour of on-disk
-damage — truncation, garbage, wrong schema, torn writes, a hostile
-VERSION marker, even a concurrent-writer race — must degrade to
-"recompute it", with the corruption counted and logged.
+Every flavour of on-disk damage — truncation, garbage, wrong schema,
+torn writes, a hostile VERSION marker, even a concurrent-writer race —
+must degrade to "recompute it", with the corruption counted and
+logged.  That holds for the engine's ``config`` tier too: a damaged
+per-configuration entry (valid or ``LaunchError``) is recomputed
+through the full engine, never served.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ import pickle
 
 import pytest
 
-from repro.store import ResultStore, SCHEMA_VERSION, TRACE_TIER, VERIFY_POLICIES
+from repro.apps import MatMul
+from repro.store import (
+    CONFIG_TIER,
+    ResultStore,
+    SCHEMA_VERSION,
+    TRACE_TIER,
+    VERIFY_POLICIES,
+)
 from repro.store.disk import MAGIC
 
 FP = "ab" * 32
@@ -108,6 +116,69 @@ def test_undecodable_payload(populated, caplog):
     with open(entry_path(populated), "wb") as handle:
         handle.write(header.encode() + payload)
     assert_recovers(populated, caplog)
+
+
+# ----------------------------------------------------------------------
+# The engine's config tier: one configuration's static entry + seconds.
+
+
+def _flip_last_byte(path: str) -> None:
+    blob = bytearray(open(path, "rb").read())
+    blob[-1] ^= 0xFF
+    with open(path, "wb") as handle:
+        handle.write(bytes(blob))
+
+
+def _truncate(path: str) -> None:
+    blob = open(path, "rb").read()
+    with open(path, "wb") as handle:
+        handle.write(blob[:-5])
+
+
+def _matmul_sweep(store=None):
+    """One valid and one LaunchError MatMul configuration through a
+    fresh app and engine: ``(entries, seconds, stats)``."""
+    app = MatMul().test_instance()
+    configs = app.space().configurations()
+    chosen = [configs[0], configs[-1]]  # the last one cannot launch
+    with app.search_engine(store=store) as engine:
+        entries = engine.evaluate_all(chosen)
+        seconds = engine.seconds_for([e.config for e in entries if e.is_valid])
+    keyed = [(e.config, e.metrics, e.invalid_reason) for e in entries]
+    return keyed, seconds, engine.stats
+
+
+@pytest.mark.parametrize("verify", VERIFY_POLICIES)
+@pytest.mark.parametrize("damage", [_flip_last_byte, _truncate],
+                         ids=["byte-flip", "truncated"])
+@pytest.mark.parametrize("victim", ["valid", "invalid"])
+def test_damaged_config_entry_is_recomputed(tmp_path, caplog, verify,
+                                            damage, victim):
+    reference, reference_seconds, _ = _matmul_sweep()
+    root = str(tmp_path / "store")
+    _matmul_sweep(ResultStore(root, verify=verify))
+    config = reference[0 if victim == "valid" else 1][0]
+    assert reference[1][2] is not None  # the invalid case is a real one
+    store = ResultStore(root, verify=verify)
+    key = MatMul().test_instance().result_key(config)
+    damage(store._entry_path(CONFIG_TIER, key))
+
+    with caplog.at_level(logging.WARNING, logger="repro.store.disk"):
+        entries, seconds, stats = _matmul_sweep(store)
+    assert entries == reference
+    assert seconds == reference_seconds
+    assert stats.store_corrupt == 1
+    assert stats.store_misses >= 1
+    assert any("corrupt" in record.message for record in caplog.records)
+    # Only the damaged configuration was recomputed.
+    assert stats.static_evaluations == 1
+    assert stats.simulations == (1 if victim == "valid" else 0)
+
+    # The recompute rewrote the entry: a third run is all hits.
+    entries, seconds, stats = _matmul_sweep(ResultStore(root, verify=verify))
+    assert (entries, seconds) == (reference, reference_seconds)
+    assert stats.store_corrupt == 0
+    assert stats.static_evaluations == stats.simulations == 0
 
 
 # ----------------------------------------------------------------------

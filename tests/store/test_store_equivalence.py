@@ -93,6 +93,40 @@ def test_cross_store_warm_start(tmp_path, app, configs):
     assert fresh.sim_cache.store.hits > 0
 
 
+def test_kernels_load_from_the_store_instead_of_rebuilding(tmp_path, configs):
+    """Built kernels persist under Application.result_key: a fresh app
+    over the same store loads each one, equal to the built kernel.  A
+    derived kernel (matmul's spilled twin) is not stored; it is
+    re-derived from its loaded original, never built from scratch."""
+    from repro.sim.fingerprint import kernel_fingerprint
+
+    path = str(tmp_path / "store")
+    first = MatMul().test_instance()
+    first.sim_cache.attach_store(ResultStore(path))
+    built = [first.kernel(config) for config in configs]
+
+    second = MatMul().test_instance()
+    second.sim_cache.attach_store(ResultStore(path))
+    rebuilt = []
+    original = second.build_kernel
+
+    def recording(config):
+        rebuilt.append(config)
+        return original(config)
+
+    second.build_kernel = recording
+    loaded = [second.kernel(config) for config in configs]
+    assert loaded == built
+    assert [kernel_fingerprint(k, first.sim_config(c))
+            for k, c in zip(loaded, configs)] == [
+        kernel_fingerprint(k, first.sim_config(c))
+        for k, c in zip(built, configs)
+    ]
+    derived = [config for config in configs if config["spill"]]
+    assert derived and rebuilt == derived
+    assert second.sim_cache.store.hits == len(configs) - len(derived)
+
+
 # ----------------------------------------------------------------------
 # SimulationCache integration details.
 

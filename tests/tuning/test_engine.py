@@ -1,9 +1,11 @@
-"""ExecutionEngine regression suite: caching, parallelism, checkpoints.
+"""ExecutionEngine regression suite: caching, parallelism, resume.
 
 The engine's contract is "one static pass, at most one simulation per
 configuration, regardless of strategies or workers" — every test here
 pins a piece of that contract with spy callables over a synthetic
-space (fast, fully controlled, picklable for the process pool).
+space (fast, fully controlled, picklable for the process pool); the
+resume cases use the smallest real application, since only an
+application supplies the store key.
 """
 
 import json
@@ -11,8 +13,10 @@ import math
 
 import pytest
 
+from repro.apps import CoulombicPotential
 from repro.arch import LaunchError
 from repro.metrics.model import MetricReport
+from repro.store import CONFIG_TIER, ResultStore
 from repro.tuning import (
     ExecutionEngine,
     cartesian,
@@ -189,88 +193,79 @@ class TestParallelWorkers:
 
 
 class TestCheckpoint:
-    def test_resume_equals_cold_run(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        cold_app = SyntheticApp()
-        with ExecutionEngine(cold_app.evaluate, cold_app.simulate,
-                             checkpoint_path=path, label="synthetic") as cold:
-            cold_result = full_exploration(cold_app.configs, engine=cold)
-        assert json.loads(open(path).read())["label"] == "synthetic"
+    """Resume through the result store's ``config`` tier, which keeps
+    every finished configuration of a sweep (a real application: an
+    engine over bare callables has no result key and no config tier).
+    """
 
-        warm_app = SyntheticApp()
-        with ExecutionEngine(warm_app.evaluate, warm_app.simulate,
-                             checkpoint_path=path, label="synthetic") as warm:
-            warm_result = full_exploration(warm_app.configs, engine=warm)
-            assert warm_app.simulated == []              # zero re-simulations
-            assert warm.stats.simulations == 0
-            assert warm.stats.checkpoint_hits == 15
+    def test_resume_equals_cold_run(self, tmp_path):
+        root = str(tmp_path / "store")
+        cold_app = CoulombicPotential().test_instance()
+        configs = cold_app.space().configurations()
+        with cold_app.search_engine(store=root) as cold:
+            cold_result = full_exploration(configs, engine=cold)
+
+        warm_app = CoulombicPotential().test_instance()
+        with warm_app.search_engine(store=root) as warm:
+            warm_result = full_exploration(configs, engine=warm)
+            assert warm.stats.simulations == 0       # zero re-simulations
+            assert warm.stats.static_evaluations == 0
+            assert warm.stats.store_hits == len(configs)
+        assert warm_app._kernel_cache == {}          # nothing was built
         assert [e.seconds for e in warm_result.timed] == [
             e.seconds for e in cold_result.timed
         ]
         assert warm_result.best.config == cold_result.best.config
         assert warm_result.measured_seconds == cold_result.measured_seconds
 
-    def test_partial_checkpoint_fills_the_gap(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        first = SyntheticApp()
-        with ExecutionEngine(first.evaluate, first.simulate,
-                             checkpoint_path=path) as engine:
-            engine.seconds_for(list(first.configs[:6]))  # interrupted early
-
-        second = SyntheticApp()
-        with ExecutionEngine(second.evaluate, second.simulate,
-                             checkpoint_path=path) as engine:
-            entries = engine.evaluate_all(second.configs)
-            engine.time_entries([e for e in entries if e.is_valid])
-            assert engine.stats.checkpoint_hits == 6
-            assert engine.stats.simulations == 9
-
     def test_interrupt_mid_batch_preserves_progress(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        app = SyntheticApp()
+        app = CoulombicPotential().test_instance()
+        configs = app.space().configurations()
+        root = str(tmp_path / "store")
+        measured = []
 
         def exploding_simulate(config):
-            if len(app.simulated) == 7:
+            if len(measured) == 7:
                 raise KeyboardInterrupt
-            return app.simulate(config)
+            measured.append(config)
+            return type(app).simulate(app, config)
 
+        app.simulate = exploding_simulate
         with pytest.raises(KeyboardInterrupt):
-            with ExecutionEngine(app.evaluate, exploding_simulate,
-                                 checkpoint_path=path,
-                                 checkpoint_interval=3) as engine:
-                entries = engine.evaluate_all(app.configs)
+            with app.search_engine(store=root) as engine:
+                entries = engine.evaluate_all(configs)
                 engine.time_entries([e for e in entries if e.is_valid])
+        store = ResultStore(root)
+        stored = store.load_many(CONFIG_TIER, store.list_keys(CONFIG_TIER))
+        timed = [s for _, s in stored.values() if s is not None]
+        assert len(timed) == 7  # every finished measurement survived
 
-        # saved after measurements 3 and 6; the interrupt at 8 lost at
-        # most checkpoint_interval measurements
-        saved = json.loads(open(path).read())["times"]
-        assert len(saved) == 6
-
-        resumed = SyntheticApp()
-        with ExecutionEngine(resumed.evaluate, resumed.simulate,
-                             checkpoint_path=path) as engine:
-            entries = engine.evaluate_all(resumed.configs)
+        resumed = CoulombicPotential().test_instance()
+        with resumed.search_engine(store=root) as engine:
+            entries = engine.evaluate_all(configs)
             engine.time_entries([e for e in entries if e.is_valid])
-            assert engine.stats.checkpoint_hits == 6
-            assert engine.stats.simulations == 9
+            assert engine.stats.static_evaluations == 0
+            assert engine.stats.simulations == len(configs) - 7
 
-    def test_label_mismatch_refused(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        app = SyntheticApp()
-        with ExecutionEngine(app.evaluate, app.simulate,
-                             checkpoint_path=path, label="cp") as engine:
-            engine.seconds_for([app.configs[0]])
-        with pytest.raises(ValueError, match="belongs to 'cp'"):
-            ExecutionEngine(app.evaluate, app.simulate,
-                            checkpoint_path=path, label="matmul")
+    def test_partial_checkpoint_fills_the_gap(self, tmp_path):
+        app = CoulombicPotential().test_instance()
+        configs = app.space().configurations()
+        root = str(tmp_path / "store")
+        with app.search_engine(store=root) as engine:
+            engine.seconds_for(configs[:6])  # times only, then "killed"
 
-    def test_version_mismatch_refused(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"version": 99, "times": {}}))
-        app = SyntheticApp()
-        with pytest.raises(ValueError, match="unsupported version"):
-            ExecutionEngine(app.evaluate, app.simulate,
-                            checkpoint_path=str(path))
+        resumed = CoulombicPotential().test_instance()
+        with resumed.search_engine(store=root) as engine:
+            entries = engine.evaluate_all(configs)
+            seconds = engine.seconds_for(configs)
+            assert engine.stats.simulations == len(configs) - 6
+            assert engine.stats.static_evaluations == len(configs)
+        fresh = CoulombicPotential().test_instance()
+        with fresh.search_engine() as engine:
+            assert engine.seconds_for(configs) == seconds
+            assert [e.metrics for e in engine.evaluate_all(configs)] == [
+                e.metrics for e in entries
+            ]
 
     def test_config_key_stable_and_order_free(self):
         from repro.tuning import Configuration

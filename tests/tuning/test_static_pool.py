@@ -1,8 +1,8 @@
-"""Pooled static stage: equivalence, recovery, and checkpoint v2.
+"""Pooled static stage: equivalence, recovery, and store resume.
 
-The static stage now fans out through the same process pool as the
-measurement stage and persists its results in the version-2 checkpoint.
-These tests pin the contract:
+The static stage fans out through the same process pool as the
+measurement stage and persists its results in the result store's
+``config`` tier.  These tests pin the contract:
 
 * ``evaluate_all`` with ``workers=2`` is bit-identical to ``workers=1``
   — reports, invalid reasons, *and* the EngineStats counters (compile
@@ -10,21 +10,19 @@ These tests pin the contract:
 * a worker death mid-batch costs retries (counted exactly), not the
   pool: only the task that exhausts its budget runs in-process, and
   every configuration is evaluated exactly once;
-* a checkpointed sweep resumes its static results from disk
-  (``checkpoint_static_hits``) without re-running ``evaluate``, and the
-  resumed reports — and the Pareto subset computed from them — are
-  bit-identical to the cold run's;
-* version-1 checkpoints (times only) still load.
+* a store-backed sweep resumes its static results from disk (counted
+  as store hits) without re-running ``evaluate``, and the resumed
+  reports — and the Pareto subset computed from them — are
+  bit-identical to the cold run's, invalid reasons included.
 """
 
-import json
 import multiprocessing
 import os
 
 import pytest
 
 from repro.arch import LaunchError
-from repro.metrics.model import MetricReport, report_from_json, report_to_json
+from repro.metrics.model import MetricReport
 from repro.tuning import ExecutionEngine, cartesian, pareto_indices
 
 pytestmark = pytest.mark.fast
@@ -35,8 +33,6 @@ COMPARED_COUNTERS = (
     "static_cache_hits",
     "simulations",
     "simulation_cache_hits",
-    "checkpoint_hits",
-    "checkpoint_static_hits",
     "compile_hits",
     "compile_evaluations",
     "fingerprint_resource_hits",
@@ -216,32 +212,30 @@ class TestStaticWorkerCrashRecovery:
         assert engine.stats.static_cache_hits == 0
 
 
-class TestCheckpointV2Static:
+class TestStoreStatic:
     def test_resume_skips_static_stage_and_is_bit_identical(self, tmp_path):
         from repro.apps import MatMul
 
         chosen = _matmul_configs()
-        path = str(tmp_path / "sweep.json")
+        root = str(tmp_path / "store")
 
         cold_app = MatMul().test_instance()
-        with cold_app.search_engine(workers=1, checkpoint_path=path) as cold:
+        with cold_app.search_engine(workers=1, store=root) as cold:
             cold_entries = cold.evaluate_all(chosen)
             cold.seconds_for(chosen)
             assert cold.stats.static_evaluations == len(chosen)
 
-        payload = json.loads(open(path).read())
-        assert payload["version"] == 2
-        assert len(payload["static"]) == len(chosen)
-
         warm_app = MatMul().test_instance()
-        with warm_app.search_engine(workers=1, checkpoint_path=path) as warm:
+        with warm_app.search_engine(workers=1, store=root) as warm:
             warm_entries = warm.evaluate_all(chosen)
             warm_seconds = warm.seconds_for(chosen)
             assert warm.stats.static_evaluations == 0
-            assert warm.stats.checkpoint_static_hits == len(chosen)
-            assert warm.stats.checkpoint_hits == len(chosen)
-            # evaluate() never ran: the app's compile tier is untouched
+            assert warm.stats.simulations == 0
+            # One config-tier read per configuration served both stages.
+            assert warm.stats.store_hits == len(chosen)
+            # evaluate() never ran: the app built no kernel at all
             assert warm_app.sim_cache.counters()["compile_evaluations"] == 0
+            assert warm_app._kernel_cache == {}
 
         assert [_entry_key(e) for e in warm_entries] == [
             _entry_key(e) for e in cold_entries
@@ -256,80 +250,44 @@ class TestCheckpointV2Static:
 
         assert front(warm_entries) == front(cold_entries)
 
-    def test_evaluate_config_claims_from_checkpoint(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
+    def test_evaluate_config_claims_from_store(self, tmp_path):
         from repro.apps import MatMul
 
+        root = str(tmp_path / "store")
         chosen = _matmul_configs(count=3)
         cold_app = MatMul().test_instance()
-        with cold_app.search_engine(workers=1, checkpoint_path=path) as cold:
+        with cold_app.search_engine(workers=1, store=root) as cold:
             cold.evaluate_all(chosen)
 
         warm_app = MatMul().test_instance()
-        with warm_app.search_engine(workers=1, checkpoint_path=path) as warm:
+        with warm_app.search_engine(workers=1, store=root) as warm:
             entry = warm.evaluate_config(chosen[0])
             assert entry.is_valid
-            assert warm.stats.checkpoint_static_hits == 1
+            assert warm.store.hits == 1
             assert warm.stats.static_evaluations == 0
+            assert warm.stats.static_cache_hits == 0
             # A second request is an ordinary in-memory cache hit.
             warm.evaluate_config(chosen[0])
             assert warm.stats.static_cache_hits == 1
+            assert warm.store.hits == 1
 
     def test_invalid_reasons_survive_the_round_trip(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        cold_app = StaticApp()
-        with ExecutionEngine(cold_app.evaluate, cold_app.simulate,
-                             checkpoint_path=path) as cold:
-            cold.evaluate_all(cold_app.configs)
-
-        # Synthetic reports are not serializable, but the invalid
-        # entry (metrics=None + reason) must persist.
-        payload = json.loads(open(path).read())
-        entries = list(payload["static"].values())
-        assert len(entries) == 1
-        assert entries[0]["metrics"] is None
-        assert "register overflow" in entries[0]["invalid"]
-
-        warm_app = StaticApp()
-        with ExecutionEngine(warm_app.evaluate, warm_app.simulate,
-                             checkpoint_path=path) as warm:
-            warm_entries = warm.evaluate_all(warm_app.configs)
-            assert warm.stats.checkpoint_static_hits == 1
-            assert warm.stats.static_evaluations == 15
-        invalid = [e for e in warm_entries if not e.is_valid]
-        assert len(invalid) == 1
-        assert "register overflow" in invalid[0].invalid_reason
-
-    def test_version_1_checkpoint_still_loads(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        app = StaticApp()
-        key_source = ExecutionEngine(app.evaluate, app.simulate)
-        from repro.tuning import config_key
-
-        del key_source
-        path.write_text(json.dumps({
-            "version": 1,
-            "label": None,
-            "times": {config_key(app.configs[0]): 0.125},
-        }))
-        with ExecutionEngine(app.evaluate, app.simulate,
-                             checkpoint_path=str(path)) as engine:
-            seconds = engine.seconds_for([app.configs[0]])
-            assert seconds == [0.125]
-            assert engine.stats.checkpoint_hits == 1
-            assert engine.stats.simulations == 0
-
-
-class TestReportJsonRoundTrip:
-    def test_real_report_round_trips_bit_exact(self):
         from repro.apps import MatMul
 
-        app = MatMul().test_instance()
-        report = app.evaluate(app.default_configuration())
-        wire = json.loads(json.dumps(report_to_json(report)))
-        restored = report_from_json(wire)
-        assert restored == report
-        assert restored.efficiency == report.efficiency
-        assert restored.utilization == report.utilization
-        assert restored.profile.mix == report.profile.mix
-        assert restored.bandwidth == report.bandwidth
+        root = str(tmp_path / "store")
+        cold_app = MatMul().test_instance()
+        configs = cold_app.space().configurations()
+        with cold_app.search_engine(store=root) as cold:
+            cold_entries = cold.evaluate_all(configs)
+        invalid = [e for e in cold_entries if not e.is_valid]
+        assert len(invalid) == 2
+
+        warm_app = MatMul().test_instance()
+        with warm_app.search_engine(store=root) as warm:
+            warm_entries = warm.evaluate_all(configs)
+            assert warm.stats.static_evaluations == 0
+        assert [_entry_key(e) for e in warm_entries] == [
+            _entry_key(e) for e in cold_entries
+        ]
+        assert all("register" in e.invalid_reason
+                   for e in warm_entries if not e.is_valid)
