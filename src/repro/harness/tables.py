@@ -71,7 +71,7 @@ def engine_rows(experiments: Sequence[AppExperiment]) -> List[Dict]:
             "cache_hits": stats.cache_hits,
             "evaluate_wall_s": stats.evaluate_seconds,
             "simulate_wall_s": stats.simulate_seconds,
-            "pool_fallbacks": getattr(stats, "pool_fallbacks", 0),
+            "pool_fallbacks": stats.pool_fallbacks,
         })
     return rows
 
@@ -91,9 +91,8 @@ def scheduler_rows(experiments: Sequence[AppExperiment]) -> List[Dict]:
         stats = experiment.engine_stats
         if stats is None:
             continue
-        recoveries = getattr(stats, "fault_recoveries", 0)
-        if not (recoveries or getattr(stats, "serial_fallback_tasks", 0)
-                or getattr(stats, "pool_fallbacks", 0)):
+        if not (stats.fault_recoveries or stats.serial_fallback_tasks
+                or stats.pool_fallbacks):
             continue
         rows.append({
             "application": experiment.name,
@@ -122,15 +121,15 @@ def simulator_rows(experiments: Sequence[AppExperiment]) -> List[Dict]:
     rows = []
     for experiment in experiments:
         stats = experiment.engine_stats
-        if stats is None or not hasattr(stats, "fingerprint_hits"):
+        if stats is None:
             continue
         rows.append({
             "application": experiment.name,
             "resource_hits": stats.fingerprint_resource_hits,
             "trace_hits": stats.fingerprint_trace_hits,
             "sm_hits": stats.fingerprint_sm_hits,
-            "compile_hits": getattr(stats, "compile_hits", 0),
-            "compile_evals": getattr(stats, "compile_evaluations", 0),
+            "compile_hits": stats.compile_hits,
+            "compile_evals": stats.compile_evaluations,
             "waves_simulated": stats.waves_simulated,
             "blocks_replayed": stats.blocks_replayed,
             "blocks_extrapolated": stats.blocks_extrapolated,
@@ -163,18 +162,15 @@ def store_rows(experiments: Sequence[AppExperiment]) -> List[Dict]:
         stats = experiment.engine_stats
         if stats is None:
             continue
-        hits = getattr(stats, "store_hits", 0)
-        misses = getattr(stats, "store_misses", 0)
-        evictions = getattr(stats, "store_evictions", 0)
-        corrupt = getattr(stats, "store_corrupt", 0)
-        if not (hits or misses or evictions or corrupt):
+        if not (stats.store_hits or stats.store_misses
+                or stats.store_evictions or stats.store_corrupt):
             continue
         rows.append({
             "application": experiment.name,
-            "store_hits": hits,
-            "store_misses": misses,
-            "store_evictions": evictions,
-            "store_corrupt": corrupt,
+            "store_hits": stats.store_hits,
+            "store_misses": stats.store_misses,
+            "store_evictions": stats.store_evictions,
+            "store_corrupt": stats.store_corrupt,
         })
     return rows
 

@@ -25,7 +25,7 @@ from repro.obs.faults import (
     FaultPlan,
     FaultSpecError,
 )
-from repro.obs.metrics import Counters, counter_delta, global_counters
+from repro.obs.metrics import Counters, counter_delta
 from repro.obs.trace import (
     Tracer,
     current_tracer,
@@ -49,7 +49,6 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "get_tracer",
-    "global_counters",
     "span",
     "tracing_enabled",
 ]

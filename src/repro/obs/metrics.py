@@ -1,4 +1,4 @@
-"""A picklable, mergeable counter/timer registry.
+"""A picklable, mergeable counter registry.
 
 The execution engine's original telemetry had a documented hole: when
 simulations fan out across a process pool, each forked worker
@@ -10,14 +10,19 @@ the parent folds the deltas into one :class:`Counters` so the totals
 are exact no matter how the work was partitioned.
 
 :class:`Counters` is intentionally tiny: a name→number mapping with
-``incr``/``merge``/``as_dict`` plus a wall-clock timer context.  It
-pickles cleanly (plain dict state) so it can cross process
-boundaries in either direction.
+``incr``/``merge``/``as_dict``.  It pickles cleanly (plain dict state)
+so it can cross process boundaries in either direction.
+
+Every component that counts owns exactly one registry, built from a
+zero-filled name table declared in the module that increments it
+(``SIM_COUNTERS`` in :mod:`repro.sim.fingerprint`, ``STORE_COUNTERS``
+in :mod:`repro.store.disk`, and so on).  Declaring every name up front
+fixes the registry's key set, so another thread may copy or read it
+while the owner increments: the dict never changes size.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterator, Mapping, Optional, Union
 
 Number = Union[int, float]
@@ -72,10 +77,6 @@ class Counters:
     def clear(self) -> None:
         self._values.clear()
 
-    def timer(self, name: str) -> "_Timer":
-        """Context manager accumulating elapsed wall seconds into ``name``."""
-        return _Timer(self, name)
-
     # -- access ----------------------------------------------------------
 
     def get(self, name: str, default: Number = 0) -> Number:
@@ -119,38 +120,4 @@ class Counters:
         self._values = state
 
 
-#: process-wide named registries (see :func:`global_counters`)
-_GLOBAL_REGISTRIES: Dict[str, Counters] = {}
-
-
-def global_counters(namespace: str) -> Counters:
-    """A process-wide :class:`Counters` registry for ``namespace``.
-
-    Long-lived components that outlive any single request (the service
-    daemon) accumulate lifetime counters here; repeated calls with the
-    same namespace return the same instance, so tests and ``/metrics``
-    handlers observe exactly what the hot path incremented.
-    """
-    registry = _GLOBAL_REGISTRIES.get(namespace)
-    if registry is None:
-        registry = _GLOBAL_REGISTRIES[namespace] = Counters()
-    return registry
-
-
-class _Timer:
-    __slots__ = ("_counters", "_name", "_started")
-
-    def __init__(self, counters: Counters, name: str) -> None:
-        self._counters = counters
-        self._name = name
-        self._started = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._counters.incr(self._name, time.perf_counter() - self._started)
-
-
-__all__ = ["Counters", "counter_delta", "global_counters"]
+__all__ = ["Counters", "counter_delta"]

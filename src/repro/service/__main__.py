@@ -29,7 +29,7 @@ import json
 import os
 import signal
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import (
@@ -257,9 +257,7 @@ def _run_local(options) -> int:
         payload = run_sweep(engine, request)
     finally:
         engine.close()
-    stats = engine.stats.delta_since(type(engine.stats)(
-        workers=engine.stats.workers
-    ))
+    stats = engine.stats.as_dict()
     print(json.dumps({"result": payload, "stats": stats},
                      indent=1, sort_keys=True))
     return 0

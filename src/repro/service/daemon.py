@@ -54,9 +54,10 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.payload import search_result_payload
-from repro.obs.metrics import global_counters
+from repro.obs.metrics import Counters
 from repro.obs.trace import span
 from repro.service.http import (
+    KEEPALIVE_COUNTERS,
     HTTPError,
     Request,
     Response,
@@ -80,6 +81,7 @@ from repro.tuning.engine import (
     EngineStats,
     EvaluatedConfig,
     ExecutionEngine,
+    add_memo_hits,
     config_key,
 )
 from repro.tuning.search import (
@@ -109,20 +111,24 @@ __all__ = [
 SERVICE_PORT_ENV = "REPRO_SERVICE_PORT"
 DEFAULT_CHUNK_SIZE = 16
 
-#: zeroed per-request stats deltas keyed by worker count — the base a
-#: fully-warm fast-lane sweep reports.  Cached because building one
-#: walks every EngineStats field, a measurable slice of a sub-ms sweep.
-_ZERO_DELTAS: Dict[int, Dict[str, Any]] = {}
-
-
-def _zero_delta(workers: int) -> Dict[str, Any]:
-    cached = _ZERO_DELTAS.get(workers)
-    if cached is None:
-        cached = EngineStats(workers=workers).delta_since(
-            EngineStats(workers=workers)
-        )
-        _ZERO_DELTAS[workers] = cached
-    return dict(cached)
+#: the service's counters, zero-filled: submissions, sweep outcomes,
+#: the fast lane's share, executor dispatches, and in-flight dedupes
+#: (the HTTP layer counts keep-alive traffic into the same registry)
+SERVICE_COUNTERS = {
+    "requests_total": 0,
+    "requests_rejected": 0,
+    "sweeps_submitted": 0,
+    "sweeps_completed": 0,
+    "sweeps_cancelled": 0,
+    "sweeps_cancel_requested": 0,
+    "sweeps_failed": 0,
+    "dedupe_hits": 0,
+    "executor_dispatches": 0,
+    "fastlane_sweeps": 0,
+    "fastlane_partial": 0,
+    "fastlane_configs": 0,
+    **KEEPALIVE_COUNTERS,
+}
 
 
 class RequestError(ValueError):
@@ -397,7 +403,7 @@ class TuningService:
         self.jobs = JobTable()
         self.inflight = InflightRegistry()
         self.runtimes: Dict[str, AppRuntime] = {}
-        self.counters = global_counters("service")
+        self.counters = Counters(SERVICE_COUNTERS)
         self.decoded = DecodedCache()
         self._server: Optional[asyncio.base_events.Server] = None
         self._tasks: set = set()
@@ -521,12 +527,17 @@ class TuningService:
         for key, runtime in self.runtimes.items():
             stats = runtime.engine.stats.as_dict()
             if runtime.engine._scheduler is not None:
-                stats["scheduler_lifetime"] = dataclasses.asdict(
-                    runtime.engine._scheduler.stats
+                stats["scheduler_lifetime"] = (
+                    runtime.engine._scheduler.counts.as_dict()
                 )
             runtimes[key] = stats
+        # Service counters are listed once they have counted.
+        service = {
+            name: value for name, value in self.counters.as_dict().items()
+            if value
+        }
         return json_response({
-            "service": self.counters.as_dict(),
+            "service": service,
             "jobs": self.jobs.count_by_state(),
             "inflight_keys": len(self.inflight),
             "decoded_cache": self.decoded.counters(),
@@ -753,8 +764,14 @@ class TuningService:
             measured_seconds=total,
             requested_sample_size=sweep.requested_sample_size,
         )
-        job.stats_delta = self._fastlane_delta(
-            engine, entries, selected, missing, engine_delta
+        # Never the live stats, which another sweep's executor thread
+        # may be counting: the miss portion's own delta, or zeros.
+        if engine_delta is None:
+            engine_delta = EngineStats.zeros(engine.workers).as_dict()
+        job.stats_delta = add_memo_hits(
+            engine_delta,
+            static=len(entries),
+            simulations=len(selected) - len(missing),
         )
         self.counters.incr("fastlane_configs",
                            len(selected) - len(missing))
@@ -782,34 +799,6 @@ class TuningService:
             done += len(chunk)
             job.timed_done = done
         return engine.stats.delta_since(before)
-
-    @staticmethod
-    def _fastlane_delta(
-        engine: ExecutionEngine,
-        entries: List[EvaluatedConfig],
-        selected: List[EvaluatedConfig],
-        missing: List[Configuration],
-        engine_delta: Optional[Dict[str, Any]],
-    ) -> Dict[str, Any]:
-        """The per-sweep stats delta a fast-lane job reports.
-
-        Built from the miss-portion's real engine delta (or a zeroed
-        one for fully-warm sweeps — never from the live stats object,
-        which another sweep's executor thread may be mutating) plus
-        the cache traffic the classic path would have counted: one
-        static cache hit per entry, one simulation cache hit per
-        memo-served measurement.
-        """
-        if engine_delta is None:
-            delta = _zero_delta(engine.stats.workers)
-        else:
-            delta = dict(engine_delta)
-        delta["static_cache_hits"] += len(entries)
-        delta["simulation_cache_hits"] += len(selected) - len(missing)
-        delta["cache_hits"] = (
-            delta["static_cache_hits"] + delta["simulation_cache_hits"]
-        )
-        return delta
 
     def _execute_on_engine(
         self,

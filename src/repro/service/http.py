@@ -33,6 +33,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "DEFAULT_KEEPALIVE_REQUESTS",
     "HTTPError",
+    "KEEPALIVE_COUNTERS",
     "Request",
     "Response",
     "Router",
@@ -48,6 +49,13 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: with ``keep_alive``, how many requests one connection may carry
 #: before the server closes it (bounds per-connection state lifetime)
 DEFAULT_KEEPALIVE_REQUESTS = 100
+#: counters :func:`serve` keeps in a caller's registry, zero-filled:
+#: keep-alive connections opened, and requests served on one after
+#: its first
+KEEPALIVE_COUNTERS = {
+    "keepalive_connections": 0,
+    "keepalive_reuses": 0,
+}
 
 _REASONS = {
     200: "OK",
@@ -329,8 +337,8 @@ async def serve(
 
     ``keep_alive=False`` (the default) keeps the original one-request-
     per-connection behaviour.  ``counters`` may be a
-    :class:`repro.obs.metrics.Counters` receiving
-    ``keepalive_connections`` / ``keepalive_reuses``.
+    :class:`repro.obs.metrics.Counters` declaring
+    :data:`KEEPALIVE_COUNTERS`, which this server counts into.
     """
 
     async def on_connect(reader, writer):

@@ -37,6 +37,7 @@ from repro.ir.values import (
     SpecialRegister,
     VirtualRegister,
 )
+from repro.obs.metrics import Counters
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -184,6 +185,22 @@ def kernel_fingerprint(
     return digest.hexdigest()
 
 
+#: this cache's counters, zero-filled; replay telemetry accumulates on
+#: SM *misses* only, so it counts real work
+SIM_COUNTERS = {
+    "fingerprint_resource_hits": 0,  # compile passes reused across configs
+    "fingerprint_trace_hits": 0,     # warp traces reused across configs
+    "fingerprint_sm_hits": 0,        # SM replays reused across configs
+    "compile_hits": 0,               # static reports reused across configs
+    "compile_evaluations": 0,        # full static compiles performed
+    "waves_simulated": 0,            # full SM waves actually replayed
+    "blocks_replayed": 0,            # blocks through the event loop
+    "blocks_extrapolated": 0,        # blocks projected after convergence
+    "blocks_resident": 0,            # sum of per-replay residencies
+    "events_replayed": 0,            # dynamic trace events replayed
+}
+
+
 class SimulationCache:
     """Fingerprint-keyed store for compile and simulation artifacts.
 
@@ -198,14 +215,13 @@ class SimulationCache:
       count is the only grid-derived input of the SM replay.  The
       caller rescales cycles by its own ``blocks_per_sm_total``.
 
-    Hit counters and replay telemetry (waves simulated, integer
-    blocks replayed/extrapolated/resident, events replayed —
-    accumulated on *misses* only, so they count real work) feed
-    :class:`repro.tuning.engine.EngineStats`.  In a process
-    pool each worker owns a private cache; :meth:`counters` snapshots
-    and :meth:`delta_since` let the engine ship per-task deltas back
-    to the parent (see :func:`repro.tuning.engine._pool_simulate`), so
-    the aggregated telemetry stays exact under any worker count.
+    Hit counters and replay telemetry (:data:`SIM_COUNTERS`) live in
+    :attr:`counts` and are read by the engine's
+    :class:`repro.tuning.engine.EngineStats` view.  In a process pool
+    each worker owns a private cache; the scheduler diffs two
+    :meth:`counters` snapshots around each task and ships the delta
+    back to the parent engine, so the aggregated telemetry stays exact
+    under any worker count.
 
     A :class:`repro.store.ResultStore` can be layered underneath as a
     durable tier (:meth:`attach_store`): lookups read through to disk
@@ -218,33 +234,6 @@ class SimulationCache:
     depend on the store being present, cold, or warm.
     """
 
-    #: ``(telemetry name, attribute, zero)`` — the single declaration
-    #: both :meth:`counters` and :meth:`clear` derive from, so adding
-    #: a tier cannot silently desync telemetry.
-    COUNTER_SPEC = (
-        ("fingerprint_resource_hits", "resource_hits", 0),
-        ("fingerprint_trace_hits", "trace_hits", 0),
-        ("fingerprint_sm_hits", "sm_hits", 0),
-        ("compile_hits", "compile_hits", 0),
-        ("compile_evaluations", "compile_evaluations", 0),
-        ("waves_simulated", "waves_simulated", 0),
-        ("blocks_replayed", "blocks_replayed", 0),
-        ("blocks_extrapolated", "blocks_extrapolated", 0),
-        ("blocks_resident", "blocks_resident", 0),
-        ("events_replayed", "events_replayed", 0),
-    )
-    #: persistent-store counters, proxied from the attached
-    #: :class:`~repro.store.ResultStore` under the same derivation
-    #: rule; reported only while a store is attached.
-    STORE_COUNTER_SPEC = (
-        ("store_hits", "hits"),
-        ("store_misses", "misses"),
-        ("store_evictions", "evictions"),
-        ("store_corrupt", "corrupt"),
-        ("store_bulk_reads", "bulk_reads"),
-        ("store_bytes_verified", "bytes_verified"),
-    )
-
     def __init__(self, store: Optional["ResultStore"] = None) -> None:
         self._resources: Dict[str, "ResourceUsage"] = {}
         self._traces: Dict[str, "WarpTrace"] = {}
@@ -255,8 +244,7 @@ class SimulationCache:
         #: is grid-independent; the consumer re-specializes those two
         #: from its own kernel (see Application.evaluate).
         self._compile: Dict[str, "MetricReport"] = {}
-        for _name, attr, zero in self.COUNTER_SPEC:
-            setattr(self, attr, zero)
+        self.counts = Counters(SIM_COUNTERS)
         self._store: Optional["ResultStore"] = None
         self._store_write_back = True
         self._store_backlog: List["StoreEntry"] = []
@@ -425,7 +413,7 @@ class SimulationCache:
     def lookup_resources(self, fingerprint: str) -> Optional["ResourceUsage"]:
         found = self._resources.get(fingerprint)
         if found is not None:
-            self.resource_hits += 1
+            self.counts.incr("fingerprint_resource_hits")
             return found
         found = self._store_load("resources", fingerprint)
         if found is not None:
@@ -444,7 +432,7 @@ class SimulationCache:
         """Counting lookup: a hit means a full static evaluation saved."""
         found = self._compile.get(fingerprint)
         if found is not None:
-            self.compile_hits += 1
+            self.counts.incr("compile_hits")
             return found
         found = self._store_load("compile", fingerprint)
         if found is not None:
@@ -467,7 +455,7 @@ class SimulationCache:
         compile work (``compile_evaluations``) and seeds the resource
         tier so a later simulation skips register allocation too."""
         self._compile[fingerprint] = report
-        self.compile_evaluations += 1
+        self.counts.incr("compile_evaluations")
         self._resources.setdefault(fingerprint, report.resources)
         self._store_put("compile", fingerprint, report)
 
@@ -476,7 +464,7 @@ class SimulationCache:
     def lookup_trace(self, fingerprint: str) -> Optional["WarpTrace"]:
         found = self._traces.get(fingerprint)
         if found is not None:
-            self.trace_hits += 1
+            self.counts.incr("fingerprint_trace_hits")
             return found
         found = self._store_load("trace", fingerprint)
         if found is not None:
@@ -495,7 +483,7 @@ class SimulationCache:
         key = (fingerprint, blocks_sampled)
         found = self._sm.get(key)
         if found is not None:
-            self.sm_hits += 1
+            self.counts.incr("fingerprint_sm_hits")
             return found
         found = self._store_load("sm", key)
         if found is not None:
@@ -512,11 +500,12 @@ class SimulationCache:
         # Integer block counts (not the per-SM wave *fraction*, which
         # would merge meaninglessly across configurations and pool
         # workers): report tables derive any ratio at display time.
-        self.waves_simulated += result.waves_simulated
-        self.blocks_replayed += result.blocks_replayed
-        self.blocks_extrapolated += result.blocks_extrapolated
-        self.blocks_resident += result.blocks_resident
-        self.events_replayed += result.events_replayed
+        counts = self.counts
+        counts.incr("waves_simulated", result.waves_simulated)
+        counts.incr("blocks_replayed", result.blocks_replayed)
+        counts.incr("blocks_extrapolated", result.blocks_extrapolated)
+        counts.incr("blocks_resident", result.blocks_resident)
+        counts.incr("events_replayed", result.events_replayed)
         self._store_put("sm", (fingerprint, blocks_sampled), result)
 
     # -- built kernels (the app keeps them in memory) --------------------
@@ -530,34 +519,13 @@ class SimulationCache:
 
     # -- bookkeeping -----------------------------------------------------
 
-    @property
-    def hits(self) -> int:
-        return self.resource_hits + self.trace_hits + self.sm_hits
-
     def counters(self) -> Dict[str, float]:
-        """Telemetry snapshot (the EngineStats / report payload).
-
-        Derived from :data:`COUNTER_SPEC` (plus the proxied
-        :data:`STORE_COUNTER_SPEC` when a store is attached), so every
-        counter the cache maintains is reported — by construction.
-        """
-        snapshot = {
-            name: getattr(self, attr) for name, attr, _zero in self.COUNTER_SPEC
-        }
+        """Telemetry snapshot: this cache's counters, plus the attached
+        store's while one is attached."""
+        snapshot = self.counts.as_dict()
         if self._store is not None:
-            for name, attr in self.STORE_COUNTER_SPEC:
-                snapshot[name] = getattr(self._store, attr)
+            snapshot.update(self._store.counts.as_dict())
         return snapshot
-
-    def delta_since(self, before: Dict[str, float]) -> Dict[str, float]:
-        """Counter changes since a previous :meth:`counters` snapshot.
-
-        The per-task payload a pool worker returns to the parent
-        engine; only changed names are included.
-        """
-        from repro.obs.metrics import counter_delta
-
-        return counter_delta(self.counters(), before)
 
     def clear(self) -> None:
         """Drop in-memory contents and reset this cache's counters.
@@ -569,10 +537,9 @@ class SimulationCache:
         self._traces.clear()
         self._sm.clear()
         self._compile.clear()
-        for _name, attr, zero in self.COUNTER_SPEC:
-            setattr(self, attr, zero)
+        self.counts = Counters(SIM_COUNTERS)
         self._store_backlog = []
         self._store_seen = set()
 
 
-__all__ = ["SimulationCache", "kernel_fingerprint"]
+__all__ = ["SIM_COUNTERS", "SimulationCache", "kernel_fingerprint"]

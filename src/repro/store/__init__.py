@@ -17,6 +17,7 @@ from repro.store.disk import (
     ResultStore,
     SCHEMA_VERSION,
     SM_TIER,
+    STORE_COUNTERS,
     STORE_ENV,
     STORE_MAX_MB_ENV,
     STORE_VERIFY_ENV,
@@ -35,6 +36,7 @@ __all__ = [
     "ResultStore",
     "SCHEMA_VERSION",
     "SM_TIER",
+    "STORE_COUNTERS",
     "STORE_ENV",
     "STORE_MAX_MB_ENV",
     "STORE_VERIFY_ENV",

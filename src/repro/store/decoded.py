@@ -22,8 +22,9 @@ Semantics:
   from values the store decoded (or this process itself computed and
   persisted).
 
-Counters (``hits`` / ``misses`` / ``evictions``) are plain attributes
-surfaced by :meth:`counters` for ``/metrics``.
+Counters (:data:`DECODED_COUNTERS`) live in the ``counts`` registry,
+surfaced with the current entry count by :meth:`counters` for
+``/metrics``.
 """
 
 from __future__ import annotations
@@ -32,12 +33,21 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
+from repro.obs.metrics import Counters
+
 #: default entry bound: generous for tuning spaces (a full matmul
 #: space is ~1k configs x 4 tiers) while keeping worst-case resident
 #: decoded objects bounded
 DEFAULT_MAX_ENTRIES = 4096
 
 _MISSING = object()
+
+#: this cache's counters, zero-filled
+DECODED_COUNTERS = {
+    "decoded_cache_hits": 0,
+    "decoded_cache_misses": 0,
+    "decoded_cache_evictions": 0,
+}
 
 
 class DecodedCache:
@@ -49,9 +59,7 @@ class DecodedCache:
                 f"max_entries must be positive, got {max_entries}"
             )
         self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.counts = Counters(DECODED_COUNTERS)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple[str, Any], Any]" = OrderedDict()
 
@@ -61,10 +69,10 @@ class DecodedCache:
         with self._lock:
             found = self._entries.get(marker, _MISSING)
             if found is _MISSING:
-                self.misses += 1
+                self.counts.incr("decoded_cache_misses")
                 return None
             self._entries.move_to_end(marker)
-            self.hits += 1
+            self.counts.incr("decoded_cache_hits")
             return found
 
     def put(self, tier: str, key: Any, obj: Any) -> None:
@@ -74,7 +82,7 @@ class DecodedCache:
             self._entries.move_to_end(marker)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                self.counts.incr("decoded_cache_evictions")
 
     def clear(self) -> None:
         with self._lock:
@@ -85,15 +93,12 @@ class DecodedCache:
             return len(self._entries)
 
     def counters(self) -> Dict[str, int]:
-        return {
-            "decoded_cache_hits": self.hits,
-            "decoded_cache_misses": self.misses,
-            "decoded_cache_evictions": self.evictions,
-            "decoded_cache_entries": len(self),
-        }
+        snapshot = self.counts.as_dict()
+        snapshot["decoded_cache_entries"] = len(self)
+        return snapshot
 
     def __repr__(self) -> str:
         return f"DecodedCache({len(self)}/{self.max_entries} entries)"
 
 
-__all__ = ["DEFAULT_MAX_ENTRIES", "DecodedCache"]
+__all__ = ["DECODED_COUNTERS", "DEFAULT_MAX_ENTRIES", "DecodedCache"]

@@ -39,7 +39,7 @@ Contracts:
   reader never observes a partial entry;
 * **corruption tolerance** — a truncated, garbled, wrong-version, or
   undecodable entry is a *miss*: it is warned about, counted
-  (``corrupt``), removed best-effort, and recomputed by the caller —
+  (``store_corrupt``), removed best-effort, and recomputed by the caller —
   never an exception on the hot path;
 * **concurrency** — writers serialize on an advisory file lock
   (:mod:`repro.store.locking`); readers are lock-free and rely on the
@@ -62,13 +62,12 @@ Contracts:
   by the resync interval.
   Concurrent evictors are tolerated: an entry another process already
   unlinked is dropped from the index without raising and without
-  inflating this store's ``evictions`` count.
+  inflating this store's ``store_evictions`` count.
 
-Counters (``hits`` / ``misses`` / ``evictions`` / ``corrupt`` /
-``bulk_reads`` / ``bytes_verified``) are plain attributes;
-:class:`~repro.sim.fingerprint.SimulationCache` surfaces them as
-``store_*`` telemetry through the usual counter-delta plumbing, so
-totals stay exact under any worker count.
+Counters (:data:`STORE_COUNTERS`) live in the store's ``counts``
+registry; :class:`~repro.sim.fingerprint.SimulationCache` reports them
+alongside its own, so pool workers ship them home in their counter
+deltas and totals stay exact under any worker count.
 
 Read verification is a policy (``verify=``): ``"always"`` (the
 default — every read hashes its payload, the original behaviour),
@@ -78,7 +77,7 @@ reads).  Under *every* policy the first read of a path is fully
 verified, and a ``store()`` through this instance re-arms verification
 for the replaced path — so the corruption matrix holds unchanged; the
 relaxed policies only skip re-hashing payloads this instance has
-already proven.  ``bytes_verified`` counts the bytes actually hashed,
+already proven.  ``store_bytes_verified`` counts the bytes actually hashed,
 making the sha256-per-read cost visible in telemetry.
 """
 
@@ -92,6 +91,7 @@ import pickle
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.obs.metrics import Counters
 from repro.store.atomic import atomic_write_bytes, atomic_write_text
 from repro.store.locking import FileLock, ensure_lock_file
 
@@ -154,6 +154,16 @@ _ENTRY_SUFFIX = ".entry"
 _RESYNC_WRITE_INTERVAL = 512
 _RESYNC_SECONDS = 300.0
 
+#: this store's counters, zero-filled
+STORE_COUNTERS = {
+    "store_hits": 0,            # artifacts read from disk
+    "store_misses": 0,          # disk lookups that fell through
+    "store_evictions": 0,       # entries dropped by the LRU bound
+    "store_corrupt": 0,         # damaged entries dropped on read
+    "store_bulk_reads": 0,      # amortized load_many batches
+    "store_bytes_verified": 0,  # payload bytes sha256-checked on read
+}
+
 
 class ResultStore:
     """One on-disk store rooted at ``path`` (created if missing).
@@ -179,12 +189,7 @@ class ResultStore:
             )
         self.max_bytes = max_bytes
         self.verify = verify
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.corrupt = 0
-        self.bulk_reads = 0
-        self.bytes_verified = 0
+        self.counts = Counters(STORE_COUNTERS)
         #: entry paths whose payload digest this instance has already
         #: checked; a local ``store()`` (or corruption cleanup) re-arms
         #: verification by discarding the path.  Only consulted by the
@@ -231,7 +236,7 @@ class ResultStore:
             # A damaged marker never blocks the store: entries carry
             # their own versioned headers, so stale ones are dropped
             # lazily; re-stamp and continue.
-            self.corrupt += 1
+            self.counts.incr("store_corrupt")
             logger.warning(
                 "store %r: unreadable VERSION marker (%s); re-stamping "
                 "schema %d — entries from other schemas will be dropped "
@@ -240,7 +245,7 @@ class ResultStore:
             atomic_write_text(version_path, json.dumps(stamp) + "\n")
             return
         if found.get("schema") != SCHEMA_VERSION:
-            self.corrupt += 1
+            self.counts.incr("store_corrupt")
             logger.warning(
                 "store %r: schema %r on disk, this build writes %d; "
                 "existing entries will be dropped and recomputed",
@@ -314,7 +319,7 @@ class ResultStore:
                     length = -1
                 digest_ok = True
                 if length == len(payload) and check_digest:
-                    self.bytes_verified += len(payload)
+                    self.counts.incr("store_bytes_verified", len(payload))
                     digest_ok = (
                         hashlib.sha256(payload).hexdigest().encode("ascii")
                         == fields[3]
@@ -332,7 +337,7 @@ class ResultStore:
                         if check_digest:
                             self._verified_paths.add(path)
                         return obj
-        self.corrupt += 1
+        self.counts.incr("store_corrupt")
         logger.warning(
             "store %r: dropping corrupt entry %r (%s); it will be "
             "recomputed", self.path, path, reason,
@@ -360,19 +365,19 @@ class ResultStore:
             with open(path, "rb") as handle:
                 blob = handle.read()
         except FileNotFoundError:
-            self.misses += 1
+            self.counts.incr("store_misses")
             return None
         except OSError as error:
-            self.misses += 1
+            self.counts.incr("store_misses")
             logger.warning("store %r: unreadable entry %r (%s)",
                            self.path, path, error)
             return None
         obj = self._decode(blob, tier, path,
                            check_digest=self._should_verify(path))
         if obj is None:
-            self.misses += 1
+            self.counts.incr("store_misses")
             return None
-        self.hits += 1
+        self.counts.incr("store_hits")
         if now is None:
             now = time.time()
         try:
@@ -394,12 +399,12 @@ class ResultStore:
 
         One amortized pass over the batch — a single timestamp covers
         every LRU recency refresh and the whole call counts one
-        ``bulk_reads`` — while per-key hit/miss/corruption accounting
+        ``store_bulk_reads`` — while per-key hit/miss/corruption accounting
         stays identical to :meth:`load`.  Missing or corrupt entries
         are simply absent from the result (corruption is still warned
         about, counted, and cleaned up per entry).
         """
-        self.bulk_reads += 1
+        self.counts.incr("store_bulk_reads")
         now = time.time()
         found: Dict[StoreKey, Any] = {}
         for key in keys:
@@ -549,7 +554,7 @@ class ResultStore:
         list comes from the in-memory index (no walk); entries another
         process already unlinked are tolerated: they leave the index
         and the running total without raising and *without* counting
-        toward this store's ``evictions``.
+        toward this store's ``store_evictions``.
         """
         if self._index is None:
             self._resync_index()
@@ -573,7 +578,7 @@ class ResultStore:
                     continue
                 except OSError:
                     continue  # unreadable/locked: skip, try the next
-                self.evictions += 1
+                self.counts.incr("store_evictions")
                 self._forget_entry(path)
             if self._total_bytes <= self.max_bytes or resynced:
                 return
@@ -595,15 +600,8 @@ class ResultStore:
         return len(self._walk_entries())
 
     def counters(self) -> Dict[str, int]:
-        """Telemetry snapshot under the names EngineStats mirrors."""
-        return {
-            "store_hits": self.hits,
-            "store_misses": self.misses,
-            "store_evictions": self.evictions,
-            "store_corrupt": self.corrupt,
-            "store_bulk_reads": self.bulk_reads,
-            "store_bytes_verified": self.bytes_verified,
-        }
+        """Telemetry snapshot of :data:`STORE_COUNTERS`."""
+        return self.counts.as_dict()
 
     def __repr__(self) -> str:
         bound = "unbounded" if self.max_bytes is None else f"{self.max_bytes}B"
@@ -666,6 +664,7 @@ __all__ = [
     "ResultStore",
     "SCHEMA_VERSION",
     "SM_TIER",
+    "STORE_COUNTERS",
     "STORE_ENV",
     "STORE_MAX_MB_ENV",
     "STORE_VERIFY_ENV",

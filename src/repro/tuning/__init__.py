@@ -11,7 +11,6 @@ from repro.tuning.pareto import dominates, pareto_front, pareto_indices
 from repro.tuning.scheduler import (
     RetryPolicy,
     SchedulerError,
-    SchedulerStats,
     SweepScheduler,
 )
 from repro.tuning.search import (
@@ -41,7 +40,6 @@ __all__ = [
     "ExecutionEngine",
     "RetryPolicy",
     "SchedulerError",
-    "SchedulerStats",
     "SearchResult",
     "StrategyError",
     "StrategySpec",

@@ -29,15 +29,18 @@ timed.  The :class:`ExecutionEngine` owns the space instead:
   interrupted or killed sweep resumes losslessly, building no kernel
   for a configuration it already finished; a damaged entry is a
   counted store miss and is recomputed;
-* telemetry (evaluated counts, cache hits, wall time per stage,
-  retries/timeouts/quarantines) is recorded on :class:`EngineStats`
-  and surfaced by the harness report.  Pool workers return a counter
-  *delta* with every successful result, so simulator-cache telemetry
-  is exact for any worker count — not just in serial mode;
+* telemetry (evaluated counts, cache hits, wall time per stage) is
+  counted in the engine's registry, retries/timeouts/quarantines in
+  the scheduler's, and :attr:`ExecutionEngine.stats` is the
+  read-only :class:`EngineStats` view over both plus the simulator
+  cache's, surfaced by the harness report.  Pool workers return a
+  counter *delta* with every successful result, merged into the
+  engine's registry, so simulator-cache telemetry is exact for any
+  worker count — not just in serial mode;
 * a scheduler that cannot be started, or whose entire worker pool is
   quarantined away, degrades to in-process execution *loudly*: the
-  degradation is counted (``EngineStats.pool_fallbacks``) with its
-  reason, and a warning is logged.
+  degradation is counted (``pool_fallbacks``) with its reason, and a
+  warning is logged.
 
 The search strategies in :mod:`repro.tuning.search` accept an engine;
 their original ``(configs, evaluate, simulate)`` signatures remain as
@@ -58,8 +61,11 @@ from repro.metrics.model import MetricReport
 from repro.obs.faults import FAULTS_ENV, FaultPlan
 from repro.obs.metrics import Counters
 from repro.obs.trace import span
-from repro.store import CONFIG_TIER, ResultStore, resolve_store
+from repro.sim.fingerprint import SIM_COUNTERS
+from repro.store import CONFIG_TIER, STORE_COUNTERS, ResultStore, resolve_store
 from repro.tuning.scheduler import (
+    FAULT_COUNTERS,
+    SCHEDULER_COUNTERS,
     SIMULATE,
     SIMULATE_GROUP,
     STATIC,
@@ -110,60 +116,55 @@ def config_key(config: Configuration) -> str:
     return json.dumps(dict(config), sort_keys=True, default=repr)
 
 
-@dataclasses.dataclass
+#: the engine's own counters, zero-filled (wall times are floats)
+ENGINE_COUNTERS = {
+    "static_evaluations": 0,     # underlying evaluate() calls
+    "static_cache_hits": 0,      # evaluate requests served from memory
+    "simulations": 0,            # underlying simulate() calls
+    "simulation_cache_hits": 0,  # simulate requests served from memory
+    "evaluate_seconds": 0.0,     # wall time in the static stage
+    "simulate_seconds": 0.0,     # wall time in the measurement stage
+    "pool_batches": 0,           # batches dispatched to the pool
+    "pool_fallbacks": 0,         # pool -> serial degradations
+    "serial_fallback_tasks": 0,  # tasks that exhausted pool retries
+}
+#: counters pool workers ship home as per-task deltas: the simulator
+#: cache's and the store's, counted in a worker's private copies
+_WORKER_COUNTERS = {**SIM_COUNTERS, **STORE_COUNTERS}
+#: state the stats carry as-is rather than difference
+_STATE = ("workers", "pool_fallback_reason")
+
+
 class EngineStats:
-    """Telemetry for one engine: counts, cache hits, per-stage wall time."""
+    """Read-only telemetry of one engine at one moment.
 
-    workers: int = 1
-    static_evaluations: int = 0      # underlying evaluate() calls
-    static_cache_hits: int = 0       # evaluate requests served from memory
-    simulations: int = 0             # underlying simulate() calls
-    simulation_cache_hits: int = 0   # simulate requests served from memory
-    evaluate_seconds: float = 0.0    # wall time in the static stage
-    simulate_seconds: float = 0.0    # wall time in the measurement stage
-    pool_batches: int = 0            # batches dispatched to the pool
-    pool_fallbacks: int = 0          # pool -> serial degradations
-    pool_fallback_reason: Optional[str] = None  # why the last one happened
+    Built by :attr:`ExecutionEngine.stats` in one pass over the names
+    of its sources: the engine's :data:`ENGINE_COUNTERS`, the
+    scheduler's fault counters, and the simulator-cache and store
+    counters (:data:`_WORKER_COUNTERS`, in-process counts plus the
+    merged pool-worker deltas).  Every counter is an attribute; the
+    view is detached, so later counting never changes it.
+    """
 
-    # Fault-tolerance telemetry, mirrored from SchedulerStats after
-    # every pooled batch.  These are counted in the parent process, so
-    # they are exact under any worker count and match an injected
-    # FaultPlan deterministically (pinned by the chaos suite).
-    task_retries: int = 0            # task attempts re-queued after failure
-    task_timeouts: int = 0           # deadline kills (hung tasks)
-    task_errors: int = 0             # exceptions returned by workers
-    worker_crashes: int = 0          # worker processes that died on a task
-    workers_quarantined: int = 0     # worker slots retired for repeat failure
-    serial_fallback_tasks: int = 0   # tasks that exhausted pool retries
-    backoff_seconds: float = 0.0     # total scheduled retry delay
+    def __init__(self, values: Dict[str, Any]) -> None:
+        self.__dict__.update(values)
 
-    # Content-addressed simulator cache telemetry (see
-    # repro.sim.fingerprint).  In-process work is mirrored from the
-    # app's SimulationCache after each measurement batch; pool workers
-    # return a per-task counter delta with every result, so these
-    # totals are exact for any worker count.
-    fingerprint_resource_hits: int = 0   # compile passes reused across configs
-    fingerprint_trace_hits: int = 0      # warp traces reused across configs
-    fingerprint_sm_hits: int = 0         # SM replays reused across configs
-    compile_hits: int = 0                # static reports reused across configs
-    compile_evaluations: int = 0         # full static compiles performed
-    waves_simulated: int = 0             # full SM waves actually replayed
-    blocks_replayed: int = 0             # blocks through the event loop
-    blocks_extrapolated: int = 0         # blocks projected after convergence
-    blocks_resident: int = 0             # sum of per-replay residencies
-    events_replayed: int = 0             # dynamic trace events replayed
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(
+            f"EngineStats is read-only; count through the owning "
+            f"component's registry, not {name!r}"
+        )
 
-    # Persistent result-store telemetry (see repro.store).  Mirrored
-    # from the SimulationCache like the fingerprint counters above, and
-    # covering the engine's own config-tier reads (static entries and
-    # times restored from disk count as store hits); all zero when no
-    # store is attached.
-    store_hits: int = 0                  # artifacts read from disk
-    store_misses: int = 0                # disk lookups that fell through
-    store_evictions: int = 0             # entries dropped by the LRU bound
-    store_corrupt: int = 0               # damaged entries dropped on read
-    store_bulk_reads: int = 0            # amortized load_many batches
-    store_bytes_verified: int = 0        # payload bytes sha256-checked on read
+    @classmethod
+    def zeros(cls, workers: int) -> "EngineStats":
+        """Every counter zero — the per-sweep baseline of work not done."""
+        return cls({
+            "workers": workers,
+            **ENGINE_COUNTERS,
+            "pool_fallback_reason": None,
+            **FAULT_COUNTERS,
+            **_WORKER_COUNTERS,
+        })
 
     @property
     def cache_hits(self) -> int:
@@ -183,37 +184,30 @@ class EngineStats:
         return self.task_errors + self.task_timeouts + self.worker_crashes
 
     def as_dict(self) -> Dict[str, Any]:
-        out = dataclasses.asdict(self)
+        out = dict(self.__dict__)
         out["cache_hits"] = self.cache_hits
         out["fingerprint_hits"] = self.fingerprint_hits
         out["fault_recoveries"] = self.fault_recoveries
         return out
 
     def snapshot(self) -> "EngineStats":
-        """A detached copy (the ``begin_request`` baseline)."""
-        return dataclasses.replace(self)
+        """The view itself: it is already detached."""
+        return self
 
     def delta_since(self, before: "EngineStats") -> Dict[str, Any]:
         """Per-request counter deltas against an earlier snapshot.
 
         A resident engine's counters are lifetime totals; a service
         reporting per-sweep telemetry subtracts the snapshot taken at
-        the request boundary.  Numeric counters are differenced
-        (derived sums like ``cache_hits`` difference exactly, being
-        linear); ``workers`` and ``pool_fallback_reason`` describe
-        current state and are carried through as-is.
+        the request boundary.  Counters are differenced (derived sums
+        like ``cache_hits`` difference exactly, being linear);
+        ``workers`` and ``pool_fallback_reason`` describe current state
+        and are carried through as-is.
         """
-        current = self.as_dict()
-        baseline = before.as_dict()
-        delta: Dict[str, Any] = {}
-        for name, value in current.items():
-            prior = baseline.get(name)
-            if name == "workers" or not isinstance(value, (int, float)):
-                delta[name] = value
-            elif isinstance(prior, (int, float)):
-                delta[name] = value - prior
-            else:
-                delta[name] = value
+        delta = self.as_dict()
+        for name, prior in before.as_dict().items():
+            if name not in _STATE:
+                delta[name] -= prior
         return delta
 
     def summary(self) -> str:
@@ -249,6 +243,17 @@ class EngineStats:
         return text
 
 
+def add_memo_hits(delta: Dict[str, Any], static: int, simulations: int) -> Dict[str, Any]:
+    """Count requests a memo answered outside the engine into a stats
+    delta (in place): the static and simulation cache hits the engine
+    would have counted serving them itself — how the service's fast
+    lane reports the sweeps it answers on the event loop."""
+    delta["static_cache_hits"] += static
+    delta["simulation_cache_hits"] += simulations
+    delta["cache_hits"] = delta["static_cache_hits"] + delta["simulation_cache_hits"]
+    return delta
+
+
 class ExecutionEngine:
     """Owns one configuration space's evaluation and measurement.
 
@@ -265,10 +270,9 @@ class ExecutionEngine:
         the environment (default 1).
     sim_cache:
         Optional :class:`repro.sim.fingerprint.SimulationCache` whose
-        counters are mirrored into :attr:`stats` after every
-        measurement batch (``for_app`` wires up the application's
-        cache automatically).  The engine never reads or writes the
-        cache itself — the simulate callable owns it.
+        counters :attr:`stats` reports (``for_app`` wires up the
+        application's cache automatically).  The engine never reads or
+        writes the cache itself — the simulate callable owns it.
     retry_policy:
         Optional :class:`~repro.tuning.scheduler.RetryPolicy` for the
         sweep scheduler (timeout, retry budget, backoff, quarantine
@@ -349,7 +353,14 @@ class ExecutionEngine:
         # construction with a named error, not inside a forked worker.
         FaultPlan.from_spec(fault_spec)
         self.fault_spec = fault_spec
-        self.stats = EngineStats(workers=self.workers)
+        #: this engine's counters, plus the deltas pool workers ship
+        #: home (their simulator-cache and store counts)
+        self.counts = Counters({**ENGINE_COUNTERS, **_WORKER_COUNTERS})
+        #: the registry every scheduler this engine builds counts into,
+        #: so fault totals outlive a torn-down pool
+        self._scheduler_counts = Counters(SCHEDULER_COUNTERS)
+        #: why the pool last degraded to in-process execution
+        self.pool_fallback_reason: Optional[str] = None
         self._static: Dict[Configuration, StaticEntry] = {}
         #: configurations whose static entry was just produced by a
         #: batch prefill (pool fan-out or a config-tier read) and not
@@ -365,9 +376,6 @@ class ExecutionEngine:
         self._stored_seconds: Dict[Configuration, float] = {}
         self._scheduler: Optional[SweepScheduler] = None
         self._pool_broken = False
-        #: simulator-cache counter deltas returned by pool workers,
-        #: merged into ``stats`` alongside the in-process counters
-        self._pool_counters = Counters()
 
     @classmethod
     def for_app(
@@ -392,6 +400,27 @@ class ExecutionEngine:
             result_key=getattr(app, "result_key", None),
         )
 
+    @property
+    def stats(self) -> EngineStats:
+        """Every counter now, read in one pass over the names.
+
+        Safe to call from another thread while this engine counts:
+        every registry's key set is fixed when it is built, so reads
+        never race a dict that changes size.
+        """
+        own = self.counts
+        scheduler = self._scheduler_counts
+        cache = self._sim_cache.counters() if self._sim_cache is not None else {}
+        values: Dict[str, Any] = {"workers": self.workers}
+        for name in ENGINE_COUNTERS:
+            values[name] = own[name]
+        values["pool_fallback_reason"] = self.pool_fallback_reason
+        for name in FAULT_COUNTERS:
+            values[name] = scheduler[name]
+        for name in _WORKER_COUNTERS:
+            values[name] = own[name] + cache.get(name, 0)
+        return EngineStats(values)
+
     # ------------------------------------------------------------------
     # Lifecycle.
 
@@ -413,8 +442,8 @@ class ExecutionEngine:
         * a pool broken by a *previous* request gets a fresh chance —
           within one request "never rebuild" still holds, so a sweep
           cannot flap between pooled and serial execution;
-        * the returned :class:`EngineStats` snapshot is the baseline
-          for this request's ``delta_since`` telemetry.
+        * the returned :class:`EngineStats` is the baseline for this
+          request's ``delta_since`` telemetry.
 
         Caches (memo tables, simulator cache, store) deliberately
         survive — staying warm across requests is the daemon's point.
@@ -422,7 +451,7 @@ class ExecutionEngine:
         self._pool_broken = False
         if self._scheduler is not None:
             self._scheduler.begin_request()
-        return self.stats.snapshot()
+        return self.stats
 
     def __enter__(self) -> "ExecutionEngine":
         return self
@@ -449,7 +478,7 @@ class ExecutionEngine:
             # the store hit) was counted when the prefill produced it.
             self._static_fresh.discard(config)
         else:
-            self.stats.static_cache_hits += 1
+            self.counts.incr("static_cache_hits")
         metrics, reason = cached
         return EvaluatedConfig(config=config, metrics=metrics, invalid_reason=reason)
 
@@ -487,13 +516,12 @@ class ExecutionEngine:
             if self.workers > 1 and len(missing) > 1:
                 self._evaluate_missing_pooled(missing)
             entries = [self.evaluate_config(config) for config in configs]
-        self.stats.evaluate_seconds += time.perf_counter() - started
-        self._sync_sim_stats()
+        self.counts.incr("evaluate_seconds", time.perf_counter() - started)
         return entries
 
     def _record_static(self, config: Configuration, cached: StaticEntry) -> None:
         self._static[config] = cached
-        self.stats.static_evaluations += 1
+        self.counts.incr("static_evaluations")
         self._write_stored(config)
 
     def _evaluate_missing_pooled(self, configs: List[Configuration]) -> None:
@@ -507,7 +535,7 @@ class ExecutionEngine:
         scheduler = self._ensure_scheduler()
         if scheduler is None:
             return
-        self.stats.pool_batches += 1
+        self.counts.incr("pool_batches")
         with span("engine.pool_evaluate", cat="engine",
                   configs=len(configs), workers=scheduler.active_workers):
 
@@ -553,7 +581,7 @@ class ExecutionEngine:
             seen = set()
             for config in configs:
                 if config in self._seconds:
-                    self.stats.simulation_cache_hits += 1
+                    self.counts.incr("simulation_cache_hits")
                     continue
                 if config not in seen:
                     seen.add(config)
@@ -567,8 +595,7 @@ class ExecutionEngine:
             batch_span.add_args(missing=len(missing))
             if missing:
                 self._simulate_missing(missing)
-        self.stats.simulate_seconds += time.perf_counter() - started
-        self._sync_sim_stats()
+        self.counts.incr("simulate_seconds", time.perf_counter() - started)
         return [self._seconds[config] for config in configs]
 
     def time_entries(self, entries: Sequence[EvaluatedConfig]) -> float:
@@ -623,7 +650,7 @@ class ExecutionEngine:
         if self.workers > 1 and len(remaining) > 1:
             scheduler = self._ensure_scheduler()
             if scheduler is not None:
-                self.stats.pool_batches += 1
+                self.counts.incr("pool_batches")
                 with span("engine.pool_dispatch", cat="engine",
                           configs=len(remaining),
                           workers=scheduler.active_workers):
@@ -654,7 +681,7 @@ class ExecutionEngine:
         if self.workers > 1 and len(grouped) > 1:
             scheduler = self._ensure_scheduler()
             if scheduler is not None:
-                self.stats.pool_batches += 1
+                self.counts.incr("pool_batches")
                 with span("engine.pool_dispatch_group", cat="engine",
                           groups=len(grouped),
                           configs=sum(len(g) for g in grouped),
@@ -676,11 +703,10 @@ class ExecutionEngine:
 
     def _after_pool_batch(self, scheduler: SweepScheduler,
                           abandoned: List[int], stage: str) -> None:
-        """Fold scheduler telemetry into the stats; degrade loudly when
-        the pool collapsed or tasks fell back to the serial path."""
-        self._merge_scheduler_stats(scheduler)
+        """Degrade loudly when the pool collapsed or tasks fell back to
+        the serial path."""
         if abandoned:
-            self.stats.serial_fallback_tasks += len(abandoned)
+            self.counts.incr("serial_fallback_tasks", len(abandoned))
             logger.warning(
                 "%d %s task(s) exhausted the scheduler's retries "
                 "(last failure: %s); running them in-process",
@@ -691,17 +717,6 @@ class ExecutionEngine:
                 f"all {self.workers} workers quarantined "
                 f"(last failure: {scheduler.last_failure})"
             )
-
-    def _merge_scheduler_stats(self, scheduler: SweepScheduler) -> None:
-        """Mirror the scheduler's cumulative counters (it lives as long
-        as the engine, so absolute copies stay exact across batches)."""
-        stats = scheduler.stats
-        self.stats.task_retries = stats.task_retries
-        self.stats.task_timeouts = stats.task_timeouts
-        self.stats.task_errors = stats.task_errors
-        self.stats.worker_crashes = stats.worker_crashes
-        self.stats.workers_quarantined = stats.workers_quarantined
-        self.stats.backoff_seconds = stats.backoff_seconds
 
     def _pool_failure(self, reason: str) -> None:
         """Record a pool→serial degradation and reap the scheduler.
@@ -714,15 +729,16 @@ class ExecutionEngine:
         self._pool_broken = True
         if scheduler is not None:
             scheduler.close()
-        self.stats.pool_fallbacks += 1
-        self.stats.pool_fallback_reason = reason
+        self.counts.incr("pool_fallbacks")
+        self.pool_fallback_reason = reason
         logger.warning(
             "worker pool disabled, falling back to in-process "
             "execution: %s", reason,
         )
 
     def _merge_pool_delta(self, delta: Optional[Dict[str, Any]]) -> None:
-        """Fold one worker result's counter delta into the pool totals.
+        """Fold one worker result's counter delta into this engine's
+        registry.
 
         The reserved :data:`~repro.tuning.scheduler.STORE_DELTA_KEY`
         entry — artifacts the worker computed but (deliberately) never
@@ -735,31 +751,11 @@ class ExecutionEngine:
         if entries and self._sim_cache is not None:
             self._sim_cache.absorb_store_entries(entries)
         if delta:
-            self._pool_counters.merge(delta)
-
-    def _sync_sim_stats(self) -> None:
-        """Fold simulator-cache telemetry into the stats.
-
-        In-process counters are absolute snapshots of the app's
-        SimulationCache (idempotent to re-sync); pool workers return
-        per-task deltas that accumulate in ``_pool_counters``.  Their
-        sum is exact for any worker count — pinned by
-        tests/tuning/test_pool_telemetry.py.
-        """
-        cache = self._sim_cache
-        pooled = self._pool_counters
-        if cache is None and not pooled:
-            return
-        local = cache.counters() if cache is not None else {}
-        for name in set(local) | set(pooled):
-            if hasattr(self.stats, name):
-                setattr(
-                    self.stats, name, local.get(name, 0) + pooled.get(name, 0)
-                )
+            self.counts.merge(delta)
 
     def _record_time(self, config: Configuration, seconds: float) -> None:
         self._seconds[config] = seconds
-        self.stats.simulations += 1
+        self.counts.incr("simulations")
         self._write_stored(config)
 
     def _ensure_scheduler(self) -> Optional[SweepScheduler]:
@@ -772,6 +768,7 @@ class ExecutionEngine:
                 self._evaluate,
                 policy=self.retry_policy,
                 fault_spec=self.fault_spec,
+                counts=self._scheduler_counts,
             )
             try:
                 scheduler.start()

@@ -27,8 +27,9 @@ that finishes and one that has to be babysat.
   budget (or outlive the whole pool) are handed back for serial
   execution, where a real error finally surfaces to the caller;
 * **exact telemetry** — every retry, timeout, crash, quarantine, and
-  backoff second is counted in :class:`SchedulerStats`, in the parent
-  process, so the totals are exact under any worker count.
+  backoff second is counted in the scheduler's ``counts`` registry
+  (:data:`SCHEDULER_COUNTERS`), in the parent process, so the totals
+  are exact under any worker count.
 
 Fault injection (:mod:`repro.obs.faults`) threads through the worker
 entry point: when a :class:`~repro.obs.faults.FaultPlan` is supplied,
@@ -57,7 +58,7 @@ from repro.obs.faults import (
     SIMULATE_STAGE,
     STATIC_STAGE,
 )
-from repro.obs.metrics import counter_delta
+from repro.obs.metrics import Counters, counter_delta
 
 logger = logging.getLogger(__name__)
 
@@ -175,20 +176,21 @@ class RetryPolicy:
         return min(self.backoff_cap, base * (1.0 + self.jitter * fraction))
 
 
-@dataclasses.dataclass
-class SchedulerStats:
-    """Fault-tolerance telemetry, counted in the parent (always exact)."""
-
-    dispatched: int = 0           # task attempts sent to workers
-    task_retries: int = 0         # re-queues after a failed attempt
-    task_timeouts: int = 0        # deadline kills
-    task_errors: int = 0          # exceptions returned by workers
-    worker_crashes: int = 0       # worker processes that died on a task
-    workers_quarantined: int = 0  # slots retired for repeated failure
-    backoff_seconds: float = 0.0  # total scheduled retry delay
-
-    def as_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+#: the scheduler's fault counters, zero-filled — counted in the
+#: parent, so always exact (backoff is in seconds, hence the float zero)
+FAULT_COUNTERS = {
+    "task_retries": 0,         # re-queues after a failed attempt
+    "task_timeouts": 0,        # deadline kills
+    "task_errors": 0,          # exceptions returned by workers
+    "worker_crashes": 0,       # worker processes that died on a task
+    "workers_quarantined": 0,  # slots retired for repeated failure
+    "backoff_seconds": 0.0,    # total scheduled retry delay
+}
+#: every counter the scheduler keeps
+SCHEDULER_COUNTERS = {
+    "dispatched": 0,           # task attempts sent to workers
+    **FAULT_COUNTERS,
+}
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +325,10 @@ class SweepScheduler:
     ``STATIC`` tasks share the worker pool and its health history) and
     persists across batches — workers stay warm like the executor they
     replace.  ``close()`` (or the context manager) tears the pool down.
+
+    ``counts`` is the registry the scheduler counts into (a fresh
+    zero-filled one by default); an engine passes the same registry to
+    every scheduler it builds, so its totals outlive a torn-down pool.
     """
 
     def __init__(
@@ -333,6 +339,7 @@ class SweepScheduler:
         policy: Optional[RetryPolicy] = None,
         fault_spec: Optional[str] = None,
         context=None,
+        counts: Optional[Counters] = None,
     ) -> None:
         self.requested_workers = max(1, int(workers))
         self.policy = policy if policy is not None else RetryPolicy()
@@ -348,7 +355,9 @@ class SweepScheduler:
         self._next_worker_id = 0
         self._started = False
         self._closed = False
-        self.stats = SchedulerStats()
+        self.counts = (
+            counts if counts is not None else Counters(SCHEDULER_COUNTERS)
+        )
         self.last_failure: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -436,7 +445,7 @@ class SweepScheduler:
         * respawns slots lost to quarantine, crashes, or respawn
           failures, restoring the pool to ``requested_workers``.
 
-        Lifetime totals in :attr:`stats` are deliberately untouched —
+        Lifetime totals in :attr:`counts` are deliberately untouched —
         they feed ``/metrics``; per-request deltas are the caller's
         job (see ``EngineStats.delta_since``).  A no-op before
         ``start()`` or after ``close()``.
@@ -572,7 +581,7 @@ class SweepScheduler:
                 continue
             index = pending.popleft()
             attempts[index] += 1
-            self.stats.dispatched += 1
+            self.counts.incr("dispatched")
             try:
                 worker.task_conn.send(
                     (stage, index, attempts[index], payloads[index])
@@ -610,7 +619,7 @@ class SweepScheduler:
                 message = conn.recv()
             except (EOFError, OSError):
                 index = worker.inflight
-                self.stats.worker_crashes += 1
+                self.counts.incr("worker_crashes")
                 logger.warning(
                     "worker %d crashed on %s task %d (attempt %d)",
                     worker.id, stage, index, attempts[index],
@@ -628,7 +637,7 @@ class SweepScheduler:
                 completed += 1
                 on_result(index, payload_out, delta)
             else:
-                self.stats.task_errors += 1
+                self.counts.incr("task_errors")
                 self.last_failure = str(payload_out)
                 logger.warning(
                     "%s task %d failed in worker %d (attempt %d): %s",
@@ -648,7 +657,7 @@ class SweepScheduler:
             if now < worker.deadline:
                 continue
             index = worker.inflight
-            self.stats.task_timeouts += 1
+            self.counts.incr("task_timeouts")
             logger.warning(
                 "%s task %d timed out after %.1fs in worker %d; "
                 "killing the worker and retrying",
@@ -667,11 +676,11 @@ class SweepScheduler:
         if attempts[index] >= self.policy.max_attempts or not self._workers:
             abandoned.append(index)
             return
-        self.stats.task_retries += 1
+        self.counts.incr("task_retries")
         delay = self.policy.backoff_seconds(
             f"{stage}:{index}", attempts[index]
         )
-        self.stats.backoff_seconds += delay
+        self.counts.incr("backoff_seconds", delay)
         heapq.heappush(waiting, (time.monotonic() + delay, index))
 
     def _worker_failed(self, worker: _Worker, alive: bool,
@@ -709,7 +718,7 @@ class SweepScheduler:
                     worker.id, error,
                 )
         else:
-            self.stats.workers_quarantined += 1
+            self.counts.incr("workers_quarantined")
             logger.warning(
                 "worker %d quarantined after %d failed tasks; "
                 "pool resized to %d worker(s)",
@@ -718,9 +727,10 @@ class SweepScheduler:
 
 
 __all__ = [
+    "FAULT_COUNTERS",
     "RetryPolicy",
+    "SCHEDULER_COUNTERS",
     "SchedulerError",
-    "SchedulerStats",
     "STORE_DELTA_KEY",
     "SweepScheduler",
     "SIMULATE",

@@ -148,3 +148,37 @@ class TestMain:
         section = warm_text[warm_text.index("## Persistent store telemetry"):]
         hits = re.search(r"cp\s+\|\s+(\d+)", section)
         assert hits and int(hits.group(1)) > 0
+
+    def test_faulted_pooled_run_matches_clean_run(self, tmp_path, capsys):
+        """A pooled cp run with a raised task and a killed worker: the
+        report equals the clean run's outside the telemetry sections,
+        and the Fault-tolerance table counts exactly what the plan
+        injected."""
+        clean = tmp_path / "clean.md"
+        chaos = tmp_path / "chaos.md"
+        assert main(["prog", str(clean), "--apps", "cp", "--no-random",
+                     "--workers", "2"]) == 0
+        assert main(["prog", str(chaos), "--apps", "cp", "--no-random",
+                     "--workers", "2", "--faults", "raise:2,kill:5"]) == 0
+        capsys.readouterr()
+
+        chaos_text = chaos.read_text()
+        assert _measured(chaos_text) == _measured(clean.read_text())
+        section = chaos_text[chaos_text.index("## Fault-tolerance telemetry"):]
+        header, row = [
+            line for line in section.splitlines() if "|" in line
+        ][:2]
+        table = dict(zip(
+            [cell.strip() for cell in header.split("|")],
+            [cell.strip() for cell in row.split("|")],
+        ))
+        # The plan fires once per pooled batch, and cp's sweep pools
+        # two: its static stage and its measurement stage.  Each batch
+        # loses task 2 to an error and task 5 to a crash, and retries
+        # both.
+        assert table["application"] == "cp"
+        assert int(table["errors"]) == 2
+        assert int(table["crashes"]) == 2
+        assert int(table["retries"]) == 4
+        assert int(table["timeouts"]) == 0
+        assert int(table["serial_tasks"]) == 0

@@ -227,6 +227,22 @@ def test_healthz_and_metrics(fake_app_class, service_factory):
     assert metrics["inflight_keys"] == 0
 
 
+def test_each_service_counts_only_its_own_work(fake_app_class,
+                                              service_factory):
+    """Two daemons in one process: neither starts from, nor sees, the
+    other's service counters."""
+    first = service_factory([fake_app_class()])
+    first.client.sweep({"app": "fake", "strategy": "exhaustive"})
+    first.client.sweep({"app": "fake", "strategy": "exhaustive"})
+    second = service_factory([fake_app_class()])
+    assert second.client.metrics()["service"] == {}
+    second.client.sweep({"app": "fake", "strategy": "exhaustive"})
+    assert second.client.metrics()["service"]["sweeps_completed"] == 1
+    assert second.service.counters["sweeps_submitted"] == 1
+    assert first.client.metrics()["service"]["sweeps_completed"] == 2
+    assert first.service.counters["sweeps_submitted"] == 2
+
+
 def test_sim_overrides_run_on_a_separate_runtime(fake_app_class,
                                                  service_factory):
     daemon = service_factory([fake_app_class()])

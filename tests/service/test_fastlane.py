@@ -15,8 +15,7 @@ from tests.service.test_daemon import canonical, local_oracle
 
 
 def service_deltas(daemon, before):
-    """Service-counter deltas since ``before`` (the counters object is
-    process-global, so absolute values are unusable in tests)."""
+    """Service-counter deltas since ``before``."""
     after = daemon.service.counters.as_dict()
     return {
         name: after.get(name, 0) - before.get(name, 0)
@@ -45,6 +44,25 @@ def test_warm_resubmit_served_by_fastlane(fake_app_class, service_factory):
     assert warm["stats"]["simulations"] == 0
     assert warm["stats"]["events_replayed"] == 0
     assert canonical(warm["result"]) == canonical(cold["result"])
+
+
+def test_both_lanes_report_every_engine_stat(fake_app_class,
+                                            service_factory):
+    """The per-sweep ``stats`` of an engine-lane sweep and of a
+    fast-lane sweep carry the same keys: every EngineStats attribute."""
+    daemon = service_factory([fake_app_class()])
+    request = {"app": "fake", "strategy": "exhaustive"}
+    cold = daemon.client.sweep(request)
+    warm = daemon.client.sweep(request)
+    assert daemon.client.status(cold["id"])["lane"] == "engine"
+    assert daemon.client.status(warm["id"])["lane"] == "fastlane"
+    stats = daemon.service.runtimes["fake"].engine.stats
+    attributes = {
+        name for name in dir(stats)
+        if not name.startswith("_") and not callable(getattr(stats, name))
+    }
+    assert "events_replayed" in attributes
+    assert set(cold["stats"]) == set(warm["stats"]) == attributes
 
 
 def test_fastlane_bit_identical_to_engine_path(fake_app_class,

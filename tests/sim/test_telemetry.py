@@ -10,6 +10,13 @@ from repro.sim.gpu import simulate_kernel
 from repro.sim.trace import COMPUTE, LOAD, USE
 
 
+def _fingerprint_hits(cache):
+    counts = cache.counts
+    return (counts["fingerprint_resource_hits"]
+            + counts["fingerprint_trace_hits"]
+            + counts["fingerprint_sm_hits"])
+
+
 def _trace():
     events = [(LOAD, 0, (128.0, 250.0)), (USE, 0, 0), (COMPUTE, 10, 0)]
     return WarpTrace.from_events(events, issue_slots=10, dram_bytes=128.0)
@@ -52,16 +59,16 @@ class TestSimulationCache:
         kernel = app.kernel(config)
         cache = SimulationCache()
         first = simulate_kernel(kernel, DEFAULT_SIM_CONFIG, cache=cache)
-        assert cache.hits == 0
-        assert cache.waves_simulated == first.sm.waves_simulated
-        assert cache.events_replayed == first.sm.events_replayed
+        assert _fingerprint_hits(cache) == 0
+        assert cache.counts["waves_simulated"] == first.sm.waves_simulated
+        assert cache.counts["events_replayed"] == first.sm.events_replayed
         second = simulate_kernel(kernel, DEFAULT_SIM_CONFIG, cache=cache)
         assert second.seconds == first.seconds
-        assert cache.resource_hits == 1
-        assert cache.trace_hits == 1
-        assert cache.sm_hits == 1
+        assert cache.counts["fingerprint_resource_hits"] == 1
+        assert cache.counts["fingerprint_trace_hits"] == 1
+        assert cache.counts["fingerprint_sm_hits"] == 1
         # Replay telemetry counts real work only — no growth on hits.
-        assert cache.events_replayed == first.sm.events_replayed
+        assert cache.counts["events_replayed"] == first.sm.events_replayed
 
     def test_mri_invocation_variants_share_simulations(self):
         """The seven invocation splits of one (block, unroll) pair have
@@ -75,7 +82,7 @@ class TestSimulationCache:
         assert len(cluster) > 1
         for config in cluster:
             app.simulate(config)
-        assert app.sim_cache.trace_hits == len(cluster) - 1
+        assert app.sim_cache.counts["fingerprint_trace_hits"] == len(cluster) - 1
 
     def test_clear_resets_counters(self):
         cache = SimulationCache()
@@ -83,9 +90,9 @@ class TestSimulationCache:
         kernel = app.kernel(app.default_configuration())
         simulate_kernel(kernel, DEFAULT_SIM_CONFIG, cache=cache)
         simulate_kernel(kernel, DEFAULT_SIM_CONFIG, cache=cache)
-        assert cache.hits > 0
+        assert _fingerprint_hits(cache) > 0
         cache.clear()
-        assert cache.hits == 0
+        assert _fingerprint_hits(cache) == 0
         assert cache.counters() == {
             "fingerprint_resource_hits": 0,
             "fingerprint_trace_hits": 0,
@@ -170,7 +177,7 @@ class TestEngineStatsSync:
         counters = app.sim_cache.counters()
         for name, value in counters.items():
             assert stats[name] == value
-        assert stats["fingerprint_hits"] == app.sim_cache.hits
+        assert stats["fingerprint_hits"] == _fingerprint_hits(app.sim_cache)
         assert stats["fingerprint_hits"] > 0
         assert stats["events_replayed"] > 0
         assert "fp_hits" in engine.stats.summary()

@@ -42,19 +42,19 @@ def test_load_many_accounts_like_load(tmp_path):
     store.store(TRACE_TIER, FP2, [2])
     found = store.load_many(TRACE_TIER, [FP, FP2, FP3])
     assert found == {FP: [1], FP2: [2]}
-    assert (store.hits, store.misses) == (2, 1)
-    assert store.bulk_reads == 1
+    assert (store.counts["store_hits"], store.counts["store_misses"]) == (2, 1)
+    assert store.counts["store_bulk_reads"] == 1
     # a second batch is one more bulk read, not one per key
     store.load_many(TRACE_TIER, [FP, FP2])
-    assert store.bulk_reads == 2
-    assert store.hits == 4
+    assert store.counts["store_bulk_reads"] == 2
+    assert store.counts["store_hits"] == 4
 
 
 def test_load_many_empty_batch(tmp_path):
     store = ResultStore(str(tmp_path / "store"))
     assert store.load_many(TRACE_TIER, []) == {}
-    assert store.bulk_reads == 1
-    assert (store.hits, store.misses) == (0, 0)
+    assert store.counts["store_bulk_reads"] == 1
+    assert (store.counts["store_hits"], store.counts["store_misses"]) == (0, 0)
 
 
 def test_load_many_sm_tuple_keys(tmp_path):
@@ -76,8 +76,8 @@ def test_load_many_counts_corruption_per_entry(tmp_path, caplog):
         handle.write(bytes(blob))
     found = store.load_many(TRACE_TIER, [FP, FP2])
     assert found == {FP: [1]}
-    assert store.corrupt == 1
-    assert store.misses == 1
+    assert store.counts["store_corrupt"] == 1
+    assert store.counts["store_misses"] == 1
     assert not os.path.exists(bad)
 
 
@@ -128,33 +128,33 @@ def test_invalid_policy_rejected(tmp_path):
 def test_first_read_always_hashes(tmp_path, policy):
     store = ResultStore(str(tmp_path / "store"), verify=policy)
     store.store(TRACE_TIER, FP, [1, 2, 3])
-    assert store.bytes_verified == 0  # writes hash via _encode, not here
+    assert store.counts["store_bytes_verified"] == 0  # writes hash via _encode, not here
     assert store.load(TRACE_TIER, FP) == [1, 2, 3]
-    assert store.bytes_verified > 0
+    assert store.counts["store_bytes_verified"] > 0
 
 
 def test_open_policy_hashes_each_path_once(tmp_path):
     store = ResultStore(str(tmp_path / "store"), verify=VERIFY_OPEN)
     store.store(TRACE_TIER, FP, [1])
     store.load(TRACE_TIER, FP)
-    once = store.bytes_verified
+    once = store.counts["store_bytes_verified"]
     assert once > 0
     for _ in range(5):
         store.load(TRACE_TIER, FP)
-    assert store.bytes_verified == once
+    assert store.counts["store_bytes_verified"] == once
     # a different path is a different first read
     store.store(TRACE_TIER, FP2, [2])
     store.load(TRACE_TIER, FP2)
-    assert store.bytes_verified > once
+    assert store.counts["store_bytes_verified"] > once
 
 
 def test_always_policy_hashes_every_read(tmp_path):
     store = ResultStore(str(tmp_path / "store"))
     store.store(TRACE_TIER, FP, [1])
     store.load(TRACE_TIER, FP)
-    once = store.bytes_verified
+    once = store.counts["store_bytes_verified"]
     store.load(TRACE_TIER, FP)
-    assert store.bytes_verified == 2 * once
+    assert store.counts["store_bytes_verified"] == 2 * once
 
 
 def test_sampled_policy_reverifies_one_in_n(tmp_path):
@@ -162,24 +162,24 @@ def test_sampled_policy_reverifies_one_in_n(tmp_path):
     store.verify_sample_interval = 4
     store.store(TRACE_TIER, FP, [1])
     store.load(TRACE_TIER, FP)  # first read: verified
-    once = store.bytes_verified
+    once = store.counts["store_bytes_verified"]
     for _ in range(3):
         store.load(TRACE_TIER, FP)  # repeats 1-3: skipped
-    assert store.bytes_verified == once
+    assert store.counts["store_bytes_verified"] == once
     store.load(TRACE_TIER, FP)  # repeat 4: sampled
-    assert store.bytes_verified == 2 * once
+    assert store.counts["store_bytes_verified"] == 2 * once
 
 
 def test_store_rearms_verification(tmp_path):
     store = ResultStore(str(tmp_path / "store"), verify=VERIFY_OPEN)
     store.store(TRACE_TIER, FP, [1])
     store.load(TRACE_TIER, FP)
-    once = store.bytes_verified
+    once = store.counts["store_bytes_verified"]
     store.load(TRACE_TIER, FP)
-    assert store.bytes_verified == once  # proven, skipped
+    assert store.counts["store_bytes_verified"] == once  # proven, skipped
     store.store(TRACE_TIER, FP, [1, 2])  # replacement: must re-prove
     store.load(TRACE_TIER, FP)
-    assert store.bytes_verified > once
+    assert store.counts["store_bytes_verified"] > once
 
 
 def test_relaxed_policy_still_catches_truncation(tmp_path, caplog):
@@ -192,7 +192,7 @@ def test_relaxed_policy_still_catches_truncation(tmp_path, caplog):
     with open(path, "wb") as handle:
         handle.write(blob[:-4])
     assert store.load(TRACE_TIER, FP) is None
-    assert store.corrupt == 1
+    assert store.counts["store_corrupt"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_decoded_cache_lru_bound_and_recency():
     assert cache.get(TRACE_TIER, "b") is None  # evicted
     assert cache.get(TRACE_TIER, "a") == 1
     assert cache.get(TRACE_TIER, "c") == 3
-    assert cache.evictions == 1
+    assert cache.counts["decoded_cache_evictions"] == 1
     assert len(cache) == 2
 
 
@@ -280,4 +280,5 @@ def test_decoded_cache_concurrent_access():
         thread.join()
     assert not errors
     assert len(cache) <= 64
-    assert cache.hits + cache.misses == 4 * 200
+    assert (cache.counts["decoded_cache_hits"]
+            + cache.counts["decoded_cache_misses"]) == 4 * 200

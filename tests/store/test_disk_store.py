@@ -44,7 +44,7 @@ def test_hit_and_miss_counters(tmp_path):
     assert store.load(TRACE_TIER, FP) is None
     store.store(TRACE_TIER, FP, [1])
     store.load(TRACE_TIER, FP)
-    assert (store.hits, store.misses) == (1, 1)
+    assert (store.counts["store_hits"], store.counts["store_misses"]) == (1, 1)
     counters = store.counters()
     bytes_verified = counters.pop("store_bytes_verified")
     assert counters == {
@@ -60,7 +60,7 @@ def test_persists_across_instances(tmp_path):
     ResultStore(path).store(COMPILE_TIER, FP, {"v": 1})
     reopened = ResultStore(path)
     assert reopened.load(COMPILE_TIER, FP) == {"v": 1}
-    assert reopened.hits == 1  # counters are per-instance, not persisted
+    assert reopened.counts["store_hits"] == 1  # counters are per-instance, not persisted
 
 
 def test_unknown_tier_rejected(tmp_path):
@@ -103,7 +103,7 @@ def test_lru_evicts_oldest_first(tmp_path):
     bounded = ResultStore(str(tmp_path / "store"),
                           max_bytes=store.size_bytes() + 10)
     bounded.store(COMPILE_TIER, FP, blob)
-    assert bounded.evictions >= 1
+    assert bounded.counts["store_evictions"] >= 1
     assert not os.path.exists(old_path)
     # the younger trace and the fresh compile entry survived
     assert bounded.load(TRACE_TIER, FP2) == blob

@@ -8,8 +8,6 @@ import multiprocessing
 import os
 import random
 
-import pytest
-
 from repro.store.disk import TRACE_TIER, ResultStore
 
 
@@ -51,7 +49,7 @@ def test_eviction_served_from_index_without_walk(tmp_path):
     for i in range(40):  # ~40 * ~700B >> 8KiB: must evict repeatedly
         store.store(TRACE_TIER, fingerprint(i), "z" * 600)
     assert walks["count"] == 0
-    assert store.evictions > 0
+    assert store.counts["store_evictions"] > 0
     assert store.size_bytes() <= store.max_bytes
     assert store._total_bytes == store.size_bytes()
 
@@ -66,7 +64,7 @@ def test_eviction_is_oldest_first(tmp_path):
                  (100 + i, 100 + i))
     store = ResultStore(root, max_bytes=seed.size_bytes() + 1)
     store.store(TRACE_TIER, fingerprint(6), "x" * 3000)
-    assert store.evictions >= 3
+    assert store.counts["store_evictions"] >= 3
     survivors = [i for i in range(7)
                  if os.path.exists(store._entry_path(TRACE_TIER,
                                                      fingerprint(i)))]
@@ -87,10 +85,10 @@ def test_concurrent_unlink_tolerated(tmp_path):
     # A rival evictor deletes half the entries behind our back.
     for i in range(0, 20, 2):
         os.unlink(store._entry_path(TRACE_TIER, fingerprint(i)))
-    before = store.evictions
+    before = store.counts["store_evictions"]
     store.max_bytes = 1  # force a sweep that visits every stale path
     store._evict_lru()
-    actually_unlinked = store.evictions - before
+    actually_unlinked = store.counts["store_evictions"] - before
     assert actually_unlinked == 10  # the ten entries still on disk
     assert store.size_bytes() == 0
     assert store._total_bytes == 0
@@ -115,7 +113,7 @@ def test_periodic_resync_bounds_multi_writer_drift(tmp_path):
     for i in range(8):
         writer.store(TRACE_TIER, fingerprint(i), "y" * 10)
     assert walks["count"] == 1  # exactly the scheduled resync
-    assert writer.evictions > 0
+    assert writer.counts["store_evictions"] > 0
     assert writer.size_bytes() <= max_bytes
     assert writer._total_bytes == writer.size_bytes()
 

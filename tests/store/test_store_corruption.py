@@ -51,8 +51,8 @@ def assert_recovers(store: ResultStore, caplog) -> None:
     logged, the file is gone, and a recompute+rewrite round-trips."""
     with caplog.at_level(logging.WARNING, logger="repro.store.disk"):
         assert store.load(TRACE_TIER, FP) is None
-    assert store.corrupt == 1
-    assert store.misses == 1
+    assert store.counts["store_corrupt"] == 1
+    assert store.counts["store_misses"] == 1
     assert not os.path.exists(entry_path(store))
     assert any("corrupt" in record.message for record in caplog.records)
     store.store(TRACE_TIER, FP, PAYLOAD)  # recompute path still works
@@ -191,7 +191,7 @@ def test_version_marker_garbage_restamps(tmp_path, caplog):
     (root / "VERSION").write_bytes(b"\x00garbage")
     with caplog.at_level(logging.WARNING, logger="repro.store.disk"):
         store = ResultStore(str(root))
-    assert store.corrupt == 1
+    assert store.counts["store_corrupt"] == 1
     assert json.loads((root / "VERSION").read_text())["schema"] == SCHEMA_VERSION
     # entries written under the same (entry-level) schema still load
     assert store.load(TRACE_TIER, FP) == PAYLOAD
@@ -203,7 +203,7 @@ def test_version_marker_wrong_schema_restamps(tmp_path, caplog):
     (root / "VERSION").write_text(json.dumps({"magic": MAGIC, "schema": 999}))
     with caplog.at_level(logging.WARNING, logger="repro.store.disk"):
         store = ResultStore(str(root))
-    assert store.corrupt == 1
+    assert store.counts["store_corrupt"] == 1
     assert any("schema" in r.message for r in caplog.records)
     assert json.loads((root / "VERSION").read_text())["schema"] == SCHEMA_VERSION
     store.store(TRACE_TIER, FP, PAYLOAD)
@@ -215,7 +215,7 @@ def test_version_marker_wrong_magic_restamps(tmp_path):
     ResultStore(str(root))
     (root / "VERSION").write_text(json.dumps({"magic": "other-tool", "schema": 1}))
     store = ResultStore(str(root))
-    assert store.corrupt == 1
+    assert store.counts["store_corrupt"] == 1
     assert json.loads((root / "VERSION").read_text())["magic"] == MAGIC
 
 
@@ -252,7 +252,7 @@ def test_concurrent_writers_leave_no_corruption(tmp_path):
             assert reader.load(TRACE_TIER, key) == {"worker": worker, "i": i}
     shared = reader.load(TRACE_TIER, FP)
     assert shared is not None and shared["worker"] in (0, 1, 2)
-    assert reader.corrupt == 0
+    assert reader.counts["store_corrupt"] == 0
 
 
 def test_torn_write_simulated_by_partial_replace(populated, caplog):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.matmul import MatMul
-from repro.sim.fingerprint import SimulationCache
+from repro.sim.fingerprint import SIM_COUNTERS, SimulationCache
 from repro.store import ResultStore
 
 
@@ -89,8 +89,8 @@ def test_cross_store_warm_start(tmp_path, app, configs):
     fresh.sim_cache.attach_store(ResultStore(path), write_back=False)
     warmed = [fresh.simulate(config) for config in configs]
     assert warmed == reference
-    assert fresh.sim_cache.events_replayed == 0
-    assert fresh.sim_cache.store.hits > 0
+    assert fresh.sim_cache.counts["events_replayed"] == 0
+    assert fresh.sim_cache.store.counts["store_hits"] > 0
 
 
 def test_kernels_load_from_the_store_instead_of_rebuilding(tmp_path, configs):
@@ -124,7 +124,7 @@ def test_kernels_load_from_the_store_instead_of_rebuilding(tmp_path, configs):
     ]
     derived = [config for config in configs if config["spill"]]
     assert derived and rebuilt == derived
-    assert second.sim_cache.store.hits == len(configs) - len(derived)
+    assert second.sim_cache.store.counts["store_hits"] == len(configs) - len(derived)
 
 
 # ----------------------------------------------------------------------
@@ -146,16 +146,15 @@ def test_counters_include_store_keys_with_a_store(tmp_path):
 
 def test_counter_spec_is_the_single_source_of_truth():
     """Regression: counters() and clear() used to maintain the counter
-    list by hand in two places; both must now derive from the spec."""
+    list by hand in two places; both must derive from the one
+    declaration, SIM_COUNTERS."""
     cache = SimulationCache()
-    spec_names = [name for name, _attr, _zero in cache.COUNTER_SPEC]
-    assert list(cache.counters()) == spec_names
-    for _name, attr, _zero in cache.COUNTER_SPEC:
-        setattr(cache, attr, 7)
+    assert list(cache.counters()) == list(SIM_COUNTERS)
+    for name in SIM_COUNTERS:
+        cache.counts.incr(name, 7)
     assert all(value == 7 for value in cache.counters().values())
     cache.clear()
-    zeros = {name: zero for name, _attr, zero in cache.COUNTER_SPEC}
-    assert cache.counters() == zeros
+    assert cache.counters() == SIM_COUNTERS
 
 
 def test_clear_leaves_the_store_alone(tmp_path):
@@ -186,8 +185,8 @@ def test_worker_mode_backlogs_instead_of_writing(tmp_path):
 def test_absorb_does_not_inflate_work_counters(tmp_path):
     parent = SimulationCache(store=ResultStore(str(tmp_path / "p")))
     parent.absorb_store_entries([("sm", ("ab" * 32, 2), _FakeSM())])
-    assert parent.waves_simulated == 0
-    assert parent.events_replayed == 0
+    assert parent.counts["waves_simulated"] == 0
+    assert parent.counts["events_replayed"] == 0
     # absorbed sm keys arrive as lists after pickling; lookup still hits
     parent.absorb_store_entries([("sm", ["cd" * 32, 3], _FakeSM())])
     assert parent.lookup_sm("cd" * 32, 3) is not None

@@ -19,7 +19,7 @@ def test_static_pass_counts_compile_evaluations():
     entries = engine.evaluate_all(configs)
     assert any(entry.is_valid for entry in entries)
     assert engine.stats.compile_evaluations > 0
-    assert engine.stats.compile_evaluations == app.sim_cache.compile_evaluations
+    assert engine.stats.compile_evaluations == app.sim_cache.counts["compile_evaluations"]
 
 
 def test_fingerprint_sharing_counts_compile_hits():
@@ -30,12 +30,12 @@ def test_fingerprint_sharing_counts_compile_hits():
     configs = list(app.space())[:8]
     first = app.search_engine(workers=1)
     first.evaluate_all(configs)
-    evaluations = app.sim_cache.compile_evaluations
+    evaluations = app.sim_cache.counts["compile_evaluations"]
     assert evaluations > 0
 
     second = app.search_engine(workers=1)
     second.evaluate_all(configs)
-    assert app.sim_cache.compile_evaluations == evaluations  # no recompiles
+    assert app.sim_cache.counts["compile_evaluations"] == evaluations  # no recompiles
     assert second.stats.compile_hits > 0
 
 
@@ -45,5 +45,5 @@ def test_simulation_only_sweep_legitimately_reports_zero():
     app = MatMul().test_instance()
     for config in list(app.space())[:4]:
         app.simulate(config)
-    assert app.sim_cache.compile_evaluations == 0
-    assert app.sim_cache.compile_hits == 0
+    assert app.sim_cache.counts["compile_evaluations"] == 0
+    assert app.sim_cache.counts["compile_hits"] == 0

@@ -20,6 +20,9 @@ with every result and the engine aggregates them — these tests pin:
 import logging
 import multiprocessing
 import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -174,6 +177,44 @@ class TestPooledTelemetryEquivalence:
         assert pooled.stats.waves_simulated > 0
         # ...and again: the parent cache did none of that work.
         assert pooled_app.sim_cache.counters()["events_replayed"] == 0
+
+
+class TestStatsReadsDuringASweep:
+    def test_snapshots_while_a_pooled_sweep_counts(self):
+        """``/metrics`` and the service fast lane read ``engine.stats``
+        on the event loop while the executor thread counts; a read must
+        never race a registry that changes size."""
+        app = CountingApp()
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ExecutionEngine(app.evaluate, app.simulate, workers=2,
+                                 sim_cache=app.sim_cache) as engine:
+                names = list(engine.counts)
+
+                def sweep():
+                    try:
+                        engine.seconds_for(app.configs)
+                    except Exception as error:  # reported below
+                        failures.append(error)
+
+                thread = threading.Thread(target=sweep)
+                thread.start()
+                deadline = time.monotonic() + 60
+                snapshots = 0
+                while ((thread.is_alive() or snapshots == 0)
+                       and time.monotonic() < deadline):
+                    engine.stats.as_dict()
+                    snapshots += 1
+                thread.join(timeout=1)
+                assert not thread.is_alive()
+                # Worker deltas merged into the names declared up front.
+                assert list(engine.counts) == names
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert _counter_stats(engine.stats) == app.expected_counters(app.configs)
 
 
 class TestWorkerCrashRecovery:

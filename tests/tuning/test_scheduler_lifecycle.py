@@ -77,12 +77,12 @@ def test_begin_request_refills_quarantined_slots():
     try:
         scheduler._remove_worker(scheduler._workers[0], respawn=False)
         assert scheduler.active_workers == 1
-        assert scheduler.stats.workers_quarantined == 1
+        assert scheduler.counts["workers_quarantined"] == 1
         scheduler.begin_request()
         assert scheduler.active_workers == 2
         assert all(w.process.is_alive() for w in scheduler._workers)
         # Lifetime telemetry is untouched by the boundary.
-        assert scheduler.stats.workers_quarantined == 1
+        assert scheduler.counts["workers_quarantined"] == 1
     finally:
         scheduler.close()
 
@@ -184,13 +184,14 @@ def test_engine_begin_request_resets_pool_and_snapshots():
         stub = _StubScheduler()
         engine._scheduler = stub
         engine._pool_broken = True
-        engine.stats.simulations = 5
+        engine.counts.incr("simulations", 5)
         before = engine.begin_request()
         assert engine._pool_broken is False
         assert stub.begin_requests == 1
         # The baseline is a detached copy: later counting does not
         # disturb it.
-        engine.stats.simulations = 9
+        engine.counts.incr("simulations", 4)
+        assert engine.stats.simulations == 9
         assert before.simulations == 5
     finally:
         engine._scheduler = None
@@ -200,12 +201,12 @@ def test_engine_begin_request_resets_pool_and_snapshots():
 def test_engine_delta_since_diffs_counters_and_carries_state():
     engine = ExecutionEngine(_evaluate, _noop_sim, workers=1)
     try:
-        engine.stats.simulations = 3
-        engine.stats.workers = 4
+        engine.counts.incr("simulations", 3)
+        engine.workers = 4
         before = engine.begin_request()
-        engine.stats.simulations = 10
-        engine.stats.simulation_cache_hits = 2
-        engine.stats.pool_fallback_reason = "pool broke"
+        engine.counts.incr("simulations", 7)
+        engine.counts.incr("simulation_cache_hits", 2)
+        engine.pool_fallback_reason = "pool broke"
         delta = engine.stats.delta_since(before)
         assert delta["simulations"] == 7
         assert delta["simulation_cache_hits"] == 2

@@ -263,13 +263,13 @@ class TestStoreStatic:
         with warm_app.search_engine(workers=1, store=root) as warm:
             entry = warm.evaluate_config(chosen[0])
             assert entry.is_valid
-            assert warm.store.hits == 1
+            assert warm.store.counts["store_hits"] == 1
             assert warm.stats.static_evaluations == 0
             assert warm.stats.static_cache_hits == 0
             # A second request is an ordinary in-memory cache hit.
             warm.evaluate_config(chosen[0])
             assert warm.stats.static_cache_hits == 1
-            assert warm.store.hits == 1
+            assert warm.store.counts["store_hits"] == 1
 
     def test_invalid_reasons_survive_the_round_trip(self, tmp_path):
         from repro.apps import MatMul

@@ -65,7 +65,8 @@ def run_zoo(name, app, *, workers=None, **kwargs):
 
 @pytest.mark.parametrize("name", ZOO)
 def test_budget_is_never_exceeded(name, app):
-    result, _ = run_zoo(name, app, seed=1, budget=7)
+    # Serial: the app's simulate spy only sees in-process calls.
+    result, _ = run_zoo(name, app, workers=1, seed=1, budget=7)
     assert result.budget == 7
     assert result.timed_count <= 7
     assert len(app.simulated) <= 7
@@ -73,7 +74,7 @@ def test_budget_is_never_exceeded(name, app):
 
 @pytest.mark.parametrize("name", ZOO)
 def test_no_config_measured_twice(name, app):
-    result, engine = run_zoo(name, app, seed=2, budget=12)
+    result, engine = run_zoo(name, app, workers=1, seed=2, budget=12)
     configs = [entry.config for entry in result.timed]
     assert len(configs) == len(set(configs))
     # dedupe happens above the engine: every simulation was a distinct
