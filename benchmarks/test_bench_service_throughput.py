@@ -4,8 +4,9 @@ Not a paper experiment: this benchmark gates the PR 9 service fast
 lane.  Two daemons run in-process over the same persistent store on
 the real matmul space:
 
-* **engine daemon** (``fastlane=False``) — every sweep dispatches to
-  the runtime's single-thread executor, exactly the PR 8 warm path;
+* **engine daemon** (``fastlane=False``) — the memo probe is skipped,
+  so every sweep dispatches the whole ``run_sweep`` to the runtime's
+  single-thread executor;
 * **fastlane daemon** — warm re-submits are probed against the
   resident memo and answered on the event loop.
 
@@ -13,7 +14,10 @@ Each daemon pays one cold sweep to warm its resident memo (the second
 daemon's cold sweep is already store-warm — that is the store doing
 its job, not the lane under test).  Then ``WARM_REQUESTS`` identical
 re-submits run against each over a keep-alive connection with a tight
-poll interval.  Two latency views come out of that:
+poll interval, interleaved one-for-one between the two daemons so
+that a drift in machine speed during the phase hits both arms alike
+rather than landing on whichever ran second.  Two latency views come
+out of that:
 
 * **server-side sweep latency** — ``finished - started`` from the
   job's own status payload: the time the daemon spent actually
@@ -68,7 +72,7 @@ BASELINE_PATH = os.path.join(HERE, "baselines", "service_throughput.json")
 RESULT_PATH = os.path.join(HERE, os.pardir, "BENCH_service_throughput.json")
 
 REQUEST = {"app": "matmul", "strategy": "exhaustive"}
-WARM_REQUESTS = 25
+WARM_REQUESTS = 60
 CONCURRENT_CLIENTS = 4
 #: the small cp sweep the concurrency phase re-submits warm
 CP_WARM_REQUEST = {
@@ -108,29 +112,41 @@ def timed_sweep(client: ServiceClient, request=REQUEST,
     return time.perf_counter() - started, payload, status
 
 
-def warm_phase(daemon, count: int):
-    """``count`` identical warm re-submits.
+def warm_phases(daemons, count: int):
+    """``count`` identical warm re-submits to each daemon, interleaved
+    one-for-one (the first daemon leads on even rounds, the second on
+    odd ones), so machine drift during the phase hits every arm alike.
 
-    Returns (client latencies, sweep latencies, submit-to-done
-    latencies, last payload) — sweep latency is ``finished - started``
-    from the job's status payload (the daemon's own account of serving
-    the sweep), submit-to-done is ``finished - created``.
+    Returns, per daemon, (client latencies, sweep latencies,
+    submit-to-done latencies, last payload) — sweep latency is
+    ``finished - started`` from the job's status payload (the daemon's
+    own account of serving the sweep), submit-to-done is ``finished -
+    created``.
     """
-    client = ServiceClient(
-        f"http://{daemon.client.host}:{daemon.client.port}",
-        timeout=60, keep_alive=True,
-    )
-    client_latencies, sweep_latencies, total_latencies = [], [], []
-    payload = None
+    clients = [
+        ServiceClient(
+            f"http://{daemon.client.host}:{daemon.client.port}",
+            timeout=60, keep_alive=True,
+        )
+        for daemon in daemons
+    ]
+    phases = [([], [], [], None) for _ in daemons]
     try:
-        for _ in range(count):
-            seconds, payload, status = timed_sweep(client)
-            client_latencies.append(seconds)
-            sweep_latencies.append(status["finished"] - status["started"])
-            total_latencies.append(status["finished"] - status["created"])
+        for round_index in range(count):
+            order = list(range(len(daemons)))
+            if round_index % 2:
+                order.reverse()
+            for index in order:
+                seconds, payload, status = timed_sweep(clients[index])
+                client_lat, sweep_lat, total_lat, _ = phases[index]
+                client_lat.append(seconds)
+                sweep_lat.append(status["finished"] - status["started"])
+                total_lat.append(status["finished"] - status["created"])
+                phases[index] = (client_lat, sweep_lat, total_lat, payload)
     finally:
-        client.close()
-    return client_latencies, sweep_latencies, total_latencies, payload
+        for client in clients:
+            client.close()
+    return phases
 
 
 def percentile(latencies, fraction: float) -> float:
@@ -181,7 +197,8 @@ def test_warm_sweep_fastlane_throughput():
     engine_daemon = fastlane_daemon = None
     try:
         # ------------------------------------------------------------------
-        # PR 8 baseline: the executor path, memo-warm.
+        # The reference arm skips the memo probe: every sweep
+        # dispatches the whole run_sweep to the executor, memo-warm.
         engine_daemon = RunningService(
             [MatMul(), CoulombicPotential()], workers=1, store=store_dir,
             fastlane=False, keep_alive=True,
@@ -189,14 +206,7 @@ def test_warm_sweep_fastlane_throughput():
         cold_started = time.perf_counter()
         cold = engine_daemon.client.sweep(REQUEST, timeout=600)
         cold_seconds = time.perf_counter() - cold_started
-        (engine_client_lat, engine_sweep_lat, engine_total_lat,
-         engine_payload) = warm_phase(engine_daemon, WARM_REQUESTS)
-        assert canonical(engine_payload["result"]) == canonical(
-            cold["result"]
-        )
-        assert engine_payload["stats"]["simulations"] == 0
 
-        # ------------------------------------------------------------------
         # The fast lane, over the same store (its cold sweep is
         # store-warm: the executor runs once, simulating nothing).
         fastlane_daemon = RunningService(
@@ -205,10 +215,19 @@ def test_warm_sweep_fastlane_throughput():
         )
         seed = fastlane_daemon.client.sweep(REQUEST, timeout=600)
         assert fastlane_daemon.client.status(seed["id"])["lane"] == "engine"
+
         before = fastlane_daemon.service.counters.as_dict()
-        (fastlane_client_lat, fastlane_sweep_lat, fastlane_total_lat,
-         fastlane_payload) = warm_phase(fastlane_daemon, WARM_REQUESTS)
+        (
+            (engine_client_lat, engine_sweep_lat, engine_total_lat,
+             engine_payload),
+            (fastlane_client_lat, fastlane_sweep_lat, fastlane_total_lat,
+             fastlane_payload),
+        ) = warm_phases([engine_daemon, fastlane_daemon], WARM_REQUESTS)
         deltas = service_deltas(fastlane_daemon, before)
+        assert canonical(engine_payload["result"]) == canonical(
+            cold["result"]
+        )
+        assert engine_payload["stats"]["simulations"] == 0
         # Every warm re-submit rode the lane; the executor sat idle.
         assert deltas["fastlane_sweeps"] == WARM_REQUESTS
         assert deltas.get("executor_dispatches", 0) == 0

@@ -5,7 +5,6 @@ Usage::
     python -m repro.service serve [--host H] [--port P] [--apps a,b]
                                   [--workers N] [--store DIR]
                                   [--ready-file PATH] [--keep-alive]
-                                  [--no-fastlane]
     python -m repro.service submit --app NAME [request options]
     python -m repro.service sweep  --app NAME [request options]   # submit+wait
     python -m repro.service status|results|wait|cancel ID
@@ -17,8 +16,9 @@ Usage::
 writes a small JSON document (url/port/pid) once the socket is bound —
 scripts poll for that file instead of racing the bind.  ``run-local``
 executes the request through the one-shot CLI path (a fresh engine, no
-daemon) and prints the same payload shape as ``results``; CI diffs the
-two to pin daemon/CLI bit-identity.
+daemon) and prints the same payload shape as ``results``;
+``tests/service/test_cli.py`` compares the two to pin daemon/CLI
+bit-identity.
 """
 
 from __future__ import annotations
@@ -133,9 +133,6 @@ def parse_args(argv):
     serve.add_argument("--keep-alive", action="store_true",
                        help="serve multiple requests per connection "
                             "(default: Connection: close)")
-    serve.add_argument("--no-fastlane", action="store_true",
-                       help="disable the warm-path fast lane (every "
-                            "sweep runs on the engine executor)")
 
     for name, needs_id in (
         ("status", True), ("results", True), ("wait", True),
@@ -211,7 +208,6 @@ async def _serve(options) -> int:
         workers=options.workers,
         store=options.store,
         keep_alive=options.keep_alive,
-        fastlane=not options.no_fastlane,
     )
     host, port = await service.start(options.host, _resolve_port(options))
     url = f"http://{host}:{port}"

@@ -11,10 +11,10 @@ only lifecycle state, never caches.
 Bit-identity contract: a sweep served by the daemon returns exactly
 the payload the one-shot CLI path (:func:`run_sweep` on a fresh
 engine — ``python -m repro.service run-local``) produces for the same
-request.  Both go through the *same* selection
-(:func:`repro.tuning.search.select_timed`) and the same sequential
-seconds accumulation, so chunked timing with cancellation checks
-cannot drift from the strategy functions.
+request.  Every lane selects through
+:func:`repro.tuning.search.select_timed` and builds its result with
+:func:`repro.tuning.search.assemble_result`, so chunked timing with
+cancellation checks cannot drift from the strategy functions.
 
 Concurrency model: the asyncio event loop owns all bookkeeping (job
 table, in-flight registry); each runtime executes sweeps on its own
@@ -23,23 +23,24 @@ while distinct runtimes proceed in parallel.  Overlapping sweeps
 dedupe through :class:`~repro.service.registry.InflightRegistry`: the
 second requester awaits the first's future, then reads warm caches.
 
-The warm-path fast lane: before dispatching to the executor,
+One probe-then-dispatch path: before anything reaches the executor,
 ``_run_job`` probes the resident engine's memo (read-only
 ``peek_static`` / ``peek_seconds`` — plain dict reads, safe against
-the executor thread).  A *fully-warm* sweep — every static entry and
-every selected measurement memoized — is answered on the event loop
-itself in cancellable chunks: no thread handoff, no scheduler, and
-bit-identical results because selection still goes through
-:func:`select_timed` and the total through the same sequential sum.
-A *partially-warm* sweep (statics memoized, some measurements
-missing) claims and dispatches only its misses to the executor, then
-serves the warm remainder on the loop.  Because fully-warm lanes
-never enter the executor, warm sweeps for the *same* runtime overlap
-freely — the single-thread-per-engine constraint only ever applied to
-sweeps that compute.  A daemon-wide
-:class:`~repro.store.DecodedCache` sits between every runtime's
-``SimulationCache`` and the store, so repeated store reads never
-re-hash or re-unpickle a payload.
+the executor thread).  The probe decides what the executor must still
+do.  A *fully-warm* sweep — every static entry and every selected
+measurement memoized — needs nothing: it is answered on the event
+loop in cancellable chunks (lane ``fastlane``).  A *partially-warm*
+sweep (statics memoized, some measurements missing) claims and
+dispatches only its misses, then reads the rest from the memo on the
+loop (``fastlane-partial``).  Anything else — a static miss, an
+adaptive zoo sweep, or a daemon built with ``fastlane=False`` — claims
+its configurations and dispatches the whole :func:`run_sweep`
+(``engine``).  Because fully-warm sweeps never enter the executor,
+warm sweeps for the *same* runtime overlap freely — the
+single-thread-per-engine constraint only ever applied to sweeps that
+compute.  A daemon-wide :class:`~repro.store.DecodedCache` sits
+between every runtime's ``SimulationCache`` and the store, so
+repeated store reads never re-hash or re-unpickle a payload.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.harness.payload import search_result_payload
 from repro.obs.metrics import Counters
@@ -85,8 +86,9 @@ from repro.tuning.engine import (
     config_key,
 )
 from repro.tuning.search import (
-    SearchResult,
-    best_entry,
+    assemble_result,
+    requested_sample_size,
+    run_selection,
     select_timed,
 )
 from repro.tuning.space import Configuration
@@ -94,6 +96,7 @@ from repro.tuning.strategies import (
     StrategyError,
     build_strategy,
     get_spec,
+    is_integer,
     request_kwargs,
 )
 
@@ -164,9 +167,7 @@ class SweepRequest:
 
     @property
     def requested_sample_size(self) -> Optional[int]:
-        if self.strategy == "random":
-            return self.select_kwargs.get("sample_size", 0)
-        return None
+        return requested_sample_size(self.strategy, self.select_kwargs)
 
 
 def parse_sweep_request(
@@ -213,7 +214,7 @@ def parse_sweep_request(
     except StrategyError as error:
         raise RequestError(str(error)) from None
     chunk_size = payload.get("chunk_size", DEFAULT_CHUNK_SIZE)
-    if not isinstance(chunk_size, int) or chunk_size < 1:
+    if not is_integer(chunk_size) or chunk_size < 1:
         raise RequestError("chunk_size must be a positive integer")
     echo: Dict[str, Any] = {"app": app_name, "strategy": strategy}
     if payload.get("configs") is not None:
@@ -238,7 +239,7 @@ def parse_sweep_request(
 def _resolve_configs(payload: Dict[str, Any], space) -> List[Configuration]:
     explicit = payload.get("configs")
     limit = payload.get("limit")
-    if limit is not None and (not isinstance(limit, int) or limit < 1):
+    if limit is not None and (not is_integer(limit) or limit < 1):
         raise RequestError("limit must be a positive integer")
     if explicit is not None:
         if limit is not None:
@@ -280,11 +281,11 @@ def run_sweep(
 ) -> Dict[str, Any]:
     """Execute one sweep on ``engine``; the shared CLI/daemon core.
 
-    Identical to the one-shot strategy functions by construction:
-    selection goes through :func:`select_timed` and ``measured_seconds``
-    is accumulated in one sequential loop over the selected entries —
-    the same floating-point summation order as
-    ``ExecutionEngine.time_entries`` — so the payload is bit-identical
+    Identical to the one-shot strategy functions by construction: a
+    selection sweep is one :func:`~repro.tuning.search.run_selection`
+    call, measured by :func:`measure_in_chunks` instead of one batch,
+    and :func:`~repro.tuning.search.assemble_result` sums the seconds
+    in selection order either way, so the payload is bit-identical
     whether timing ran in one call or in cancellation-checkable chunks.
     """
 
@@ -310,33 +311,44 @@ def run_sweep(
                 request.configs, engine,
                 progress=checkpoint, **request.select_kwargs,
             )
-            return search_result_payload(result)
-        evaluated = engine.evaluate_all(request.configs)
-        selected = select_timed(
-            request.strategy, evaluated, **request.select_kwargs
-        )
-        if progress is not None:
-            progress(0, len(selected))
-        for start in range(0, len(selected), request.chunk_size):
-            if cancelled():
-                raise SweepCancelled(request.app_name)
-            chunk = selected[start:start + request.chunk_size]
-            engine.time_entries(chunk)
-            if progress is not None:
-                progress(min(start + len(chunk), len(selected)),
-                         len(selected))
-        total = 0.0
-        for entry in selected:
-            total += entry.seconds
-        result = SearchResult(
-            strategy=request.strategy,
-            evaluated=evaluated,
-            timed=selected,
-            best=best_entry(selected, request.strategy),
-            measured_seconds=total,
-            requested_sample_size=request.requested_sample_size,
-        )
+        else:
+            result = run_selection(
+                request.strategy, request.configs, engine,
+                measure=lambda timed: measure_in_chunks(
+                    engine, timed, request, cancelled, progress
+                ),
+                **request.select_kwargs,
+            )
     return search_result_payload(result)
+
+
+def measure_in_chunks(
+    engine: ExecutionEngine,
+    entries: List[EvaluatedConfig],
+    request: SweepRequest,
+    cancelled: Callable[[], bool],
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> None:
+    """Time ``entries`` ``request.chunk_size`` at a time, checking
+    ``cancelled`` before every chunk — the one measure loop behind
+    :func:`run_sweep` and the daemon's partially-warm lane."""
+    if progress is not None:
+        progress(0, len(entries))
+    for start in range(0, len(entries), request.chunk_size):
+        if cancelled():
+            raise SweepCancelled(request.app_name)
+        chunk = entries[start:start + request.chunk_size]
+        engine.time_entries(chunk)
+        if progress is not None:
+            progress(start + len(chunk), len(entries))
+
+
+class MemoProbe(NamedTuple):
+    """A selection sweep rebuilt from a runtime's memo."""
+
+    entries: List[EvaluatedConfig]      # every configuration, evaluated
+    selected: List[EvaluatedConfig]     # what select_timed would time
+    missing: List[EvaluatedConfig]      # selected, not yet measured
 
 
 class AppRuntime:
@@ -397,8 +409,9 @@ class TuningService:
         self.store = store
         self.keep_alive = keep_alive
         #: probe the resident memo before dispatching to the executor;
-        #: ``False`` forces every sweep down the engine path (the
-        #: bit-identity oracle in tests)
+        #: ``False`` skips the probe, so every sweep dispatches the
+        #: whole ``run_sweep`` (the reference arm in tests and
+        #: benchmarks)
         self.fastlane = fastlane
         self.jobs = JobTable()
         self.inflight = InflightRegistry()
@@ -554,79 +567,59 @@ class TuningService:
     # Sweep execution.
 
     async def _run_job(self, job: SweepJob, sweep: SweepRequest) -> None:
-        loop = asyncio.get_running_loop()
+        """Probe, claim, dispatch: the one path every sweep takes (the
+        module docstring lists what each probe outcome runs)."""
         runtime = self._runtime_for(sweep)
-        # The fast-lane probe: can the resident memo answer (part of)
-        # this sweep without the executor?  Read-only peeks — a racing
-        # executor thread can only turn a miss into a hit, and a probe
-        # miss just means the classic path runs.  Adaptive (zoo)
-        # sweeps never probe: their timed subset depends on measured
-        # times, not just the static memo, so only the engine path can
-        # reproduce it.
+        engine = runtime.engine
+        # Read-only peeks: a racing executor thread can only turn a
+        # miss into a hit.  Adaptive (zoo) sweeps never probe: their
+        # timed subset depends on measured times, not just the static
+        # memo, so only run_sweep can reproduce it.
         probe = (
-            self._probe_memo(runtime.engine, sweep)
+            self._probe_memo(engine, sweep)
             if self.fastlane and sweep.kind == "selection" else None
         )
         owned: List[Tuple[str, str]] = []
         try:
-            if probe is not None:
-                entries, selected, missing = probe
-                if missing:
-                    # Claim only the misses: the warm portion is final
-                    # memo state, invisible to other sweeps' claims.
-                    missing_keys = list(dict.fromkeys(
-                        (sweep.runtime_key, config_key(config))
-                        for config in missing
-                    ))
-                    owned, waiting = self.inflight.claim(missing_keys)
-                    if waiting:
-                        job.dedupe_hits = len(waiting)
-                        self.counters.incr("dedupe_hits", len(waiting))
-                        await self._await_inflight(job, waiting)
-                    if job.cancel_event.is_set():
-                        raise SweepCancelled(job.id)
-                    # The owning sweep may have measured some of our
-                    # misses while we waited.
-                    missing = [
-                        config for config in missing
-                        if runtime.engine.peek_seconds(config) is None
-                    ]
-                job.result = await self._serve_fastlane(
-                    job, sweep, runtime, entries, selected, missing
-                )
-            else:
-                # Collapse duplicate configurations before claiming: a
-                # repeated config must dedupe against *other* sweeps,
-                # never against this job's own claim (which would
-                # deadlock it in QUEUED forever).
-                keys = list(dict.fromkeys(
+            # Claim what the executor will compute: every configuration
+            # for run_sweep, only the misses after a probe (the warm
+            # portion is final memo state, invisible to other claims).
+            # The registry collapses duplicate keys, so a repeated
+            # configuration dedupes against *other* sweeps, never
+            # against this job's own claim.
+            computed = sweep.configs if probe is None else [
+                entry.config for entry in probe.missing
+            ]
+            if computed:
+                owned, waiting = self.inflight.claim([
                     (sweep.runtime_key, config_key(config))
-                    for config in sweep.configs
-                ))
-                owned, waiting = self.inflight.claim(keys)
+                    for config in computed
+                ])
                 if waiting:
                     # Another sweep is computing these configurations
-                    # right now; await its completion instead of
-                    # re-simulating.
+                    # right now; await it instead of re-simulating.
                     job.dedupe_hits = len(waiting)
                     self.counters.incr("dedupe_hits", len(waiting))
                     await self._await_inflight(job, waiting)
                 if job.cancel_event.is_set():
                     raise SweepCancelled(job.id)
-                job.state = RUNNING
-                job.started = time.time()
+            job.state = RUNNING
+            job.started = time.time()
+
+            def progress(done: int, total: int) -> None:
+                job.timed_done = done
+                job.timed_total = total
+
+            if probe is None:
                 job.lane = "engine"
-
-                def progress(done: int, total: int) -> None:
-                    job.timed_done = done
-                    job.timed_total = total
-
-                self.counters.incr("executor_dispatches")
-                job.result = await loop.run_in_executor(
-                    runtime.executor,
-                    self._execute_on_engine,
-                    runtime.engine, sweep, job, progress,
+                job.result, job.stats_delta = await self._dispatch(
+                    runtime, run_sweep, engine, sweep,
+                    cancel_check=job.cancel_event.is_set,
+                    progress=progress,
                 )
+            else:
+                await self._serve_from_memo(job, sweep, runtime, *probe,
+                                            progress=progress)
             job.state = DONE
             self.counters.incr("sweeps_completed")
         except SweepCancelled:
@@ -640,6 +633,23 @@ class TuningService:
         finally:
             job.finished = time.time()
             self.inflight.release(owned)
+
+    async def _dispatch(
+        self, runtime: AppRuntime, work: Callable[..., Any], *args, **kwargs
+    ) -> Tuple[Any, Dict[str, Any]]:
+        """Run ``work(*args, **kwargs)`` on the runtime's executor
+        thread, bracketed by the engine's request boundary; returns its
+        value and this request's stats delta."""
+        self.counters.incr("executor_dispatches")
+
+        def bracketed() -> Tuple[Any, Dict[str, Any]]:
+            before = runtime.engine.begin_request()
+            value = work(*args, **kwargs)
+            return value, runtime.engine.stats.delta_since(before)
+
+        return await asyncio.get_running_loop().run_in_executor(
+            runtime.executor, bracketed
+        )
 
     @staticmethod
     async def _await_inflight(
@@ -683,14 +693,11 @@ class TuningService:
     @staticmethod
     def _probe_memo(
         engine: ExecutionEngine, sweep: SweepRequest
-    ) -> Optional[Tuple[List[EvaluatedConfig], List[EvaluatedConfig],
-                        List[Configuration]]]:
+    ) -> Optional[MemoProbe]:
         """Rebuild the sweep's evaluation and selection from the memo.
 
-        Pure reads — no evaluation, no counters.  Returns ``(entries,
-        selected, missing)`` where ``missing`` lists selected configs
-        without a memoized measurement, or ``None`` when any static
-        entry is absent (the classic engine path must run).
+        Pure reads — no evaluation, no counters.  ``None`` when any
+        static entry is absent (``run_sweep`` must run).
         """
         entries: List[EvaluatedConfig] = []
         for config in sweep.configs:
@@ -705,69 +712,57 @@ class TuningService:
             sweep.strategy, entries, **sweep.select_kwargs
         )
         missing = [
-            entry.config for entry in selected
+            entry for entry in selected
             if engine.peek_seconds(entry.config) is None
         ]
-        return entries, selected, missing
+        return MemoProbe(entries, selected, missing)
 
-    async def _serve_fastlane(
+    async def _serve_from_memo(
         self,
         job: SweepJob,
         sweep: SweepRequest,
         runtime: AppRuntime,
         entries: List[EvaluatedConfig],
         selected: List[EvaluatedConfig],
-        missing: List[Configuration],
-    ) -> Dict[str, Any]:
-        """Answer a (partially) warm sweep on the event loop.
-
-        Misses — if any — go to the runtime executor first (miss-only,
-        chunked, cancellable); the warm portion is then served right
-        here in cancellable chunks with an ``await`` per chunk, so
-        concurrent warm sweeps interleave even on one runtime.  The
-        payload is bit-identical to :func:`run_sweep`: same
-        ``select_timed`` selection, same sequential seconds sum.
-        """
+        missing: List[EvaluatedConfig],
+        *,
+        progress: Callable[[int, int], None],
+    ) -> None:
+        """Answer a probed sweep: dispatch its remaining misses, then
+        read the selection from the memo in chunks with an ``await``
+        per chunk, so concurrent warm sweeps interleave even on one
+        runtime."""
         engine = runtime.engine
-        job.state = RUNNING
-        job.started = time.time()
+        # The owning sweep may have measured some misses while we
+        # waited on its claim.
+        missing = [
+            entry for entry in missing
+            if engine.peek_seconds(entry.config) is None
+        ]
         job.lane = "fastlane-partial" if missing else "fastlane"
-        job.timed_total = len(selected)
-        engine_delta: Optional[Dict[str, Any]] = None
         if missing:
-            self.counters.incr("executor_dispatches")
-            engine_delta = await asyncio.get_running_loop().run_in_executor(
-                runtime.executor,
-                self._measure_missing,
-                engine, sweep, job, missing,
+            _, engine_delta = await self._dispatch(
+                runtime, measure_in_chunks, engine, missing, sweep,
+                job.cancel_event.is_set, progress,
             )
+        else:
+            # Never the live stats, which another sweep's executor
+            # thread may be counting.
+            engine_delta = EngineStats.zeros(engine.workers).as_dict()
+        job.timed_total = len(selected)
         for start in range(0, len(selected), sweep.chunk_size):
             if job.cancel_event.is_set():
                 raise SweepCancelled(job.id)
             chunk = selected[start:start + sweep.chunk_size]
             for entry in chunk:
                 entry.seconds = engine.peek_seconds(entry.config)
-            job.timed_done = max(
-                job.timed_done, min(start + len(chunk), len(selected))
-            )
+            job.timed_done = max(job.timed_done, start + len(chunk))
             # The chunk boundary: lets other tasks (including a cancel
             # request) run between chunks of a large warm sweep.
             await asyncio.sleep(0)
-        total = 0.0
-        for entry in selected:
-            total += entry.seconds
-        result = SearchResult(
-            strategy=sweep.strategy,
-            evaluated=entries,
-            timed=selected,
-            best=best_entry(selected, sweep.strategy),
-            measured_seconds=total,
-            requested_sample_size=sweep.requested_sample_size,
-        )
-        # Never the live stats, which another sweep's executor thread
-        # may be counting: the miss portion's own delta, or zeros.
-        if engine_delta is None:
-            engine_delta = EngineStats.zeros(engine.workers).as_dict()
+        job.result = search_result_payload(assemble_result(
+            sweep.strategy, entries, selected, sweep.select_kwargs
+        ))
         job.stats_delta = add_memo_hits(
             engine_delta,
             static=len(entries),
@@ -778,41 +773,3 @@ class TuningService:
         self.counters.incr(
             "fastlane_partial" if missing else "fastlane_sweeps"
         )
-        return search_result_payload(result)
-
-    @staticmethod
-    def _measure_missing(
-        engine: ExecutionEngine,
-        sweep: SweepRequest,
-        job: SweepJob,
-        missing: List[Configuration],
-    ) -> Dict[str, Any]:
-        """Runs on the runtime's worker thread: measure only the
-        misses of a partially-warm sweep, chunked and cancellable."""
-        before = engine.begin_request()
-        done = 0
-        for start in range(0, len(missing), sweep.chunk_size):
-            if job.cancel_event.is_set():
-                raise SweepCancelled(job.id)
-            chunk = missing[start:start + sweep.chunk_size]
-            engine.seconds_for(chunk)
-            done += len(chunk)
-            job.timed_done = done
-        return engine.stats.delta_since(before)
-
-    def _execute_on_engine(
-        self,
-        engine: ExecutionEngine,
-        sweep: SweepRequest,
-        job: SweepJob,
-        progress: Callable[[int, int], None],
-    ) -> Dict[str, Any]:
-        """Runs on the runtime's worker thread (one sweep at a time)."""
-        before = engine.begin_request()
-        payload = run_sweep(
-            engine, sweep,
-            cancel_check=job.cancel_event.is_set,
-            progress=progress,
-        )
-        job.stats_delta = engine.stats.delta_since(before)
-        return payload

@@ -598,14 +598,12 @@ class ExecutionEngine:
         self.counts.incr("simulate_seconds", time.perf_counter() - started)
         return [self._seconds[config] for config in configs]
 
-    def time_entries(self, entries: Sequence[EvaluatedConfig]) -> float:
-        """Fill ``entry.seconds`` for every entry; returns the summed time."""
+    def time_entries(self, entries: Sequence[EvaluatedConfig]) -> None:
+        """Fill ``entry.seconds`` for every entry (the total is summed
+        by :func:`repro.tuning.search.assemble_result`)."""
         seconds = self.seconds_for([entry.config for entry in entries])
-        total = 0.0
         for entry, value in zip(entries, seconds):
             entry.seconds = value
-            total += value
-        return total
 
     def _trace_groups(
         self, configs: List[Configuration]

@@ -18,6 +18,14 @@ same space performs one static pass and never measures a configuration
 twice.  Pass ``engine=`` to share one engine across strategies (what
 ``run_experiment`` does); without it each call builds a private
 single-worker engine, preserving the original free-function behavior.
+
+The pipeline is written once: :func:`run_selection` evaluates, selects
+(:func:`select_timed`), measures and hands the timed subset to
+:func:`assemble_result`, the only place a :class:`SearchResult` is
+built and its seconds summed.  Each strategy function is one
+``run_selection`` call; the service's ``run_sweep`` is too, and its
+fast lane and the adaptive zoo's ``SearchStrategy.run`` end in the
+same assembler.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.tuning.engine import (
     Evaluate,
@@ -41,12 +49,15 @@ __all__ = [
     "EvaluatedConfig",
     "STRATEGIES",
     "SearchResult",
-    "best_entry",
+    "assemble_result",
     "evaluate_all",
     "full_exploration",
     "pareto_cluster_search",
     "pareto_search",
     "random_search",
+    "requested_sample_size",
+    "resolve_engine",
+    "run_selection",
     "select_timed",
 ]
 
@@ -133,11 +144,13 @@ class SearchResult:
         return 1.0 - self.timed_count / valid
 
 
-def _resolve_engine(
+def resolve_engine(
     engine: Optional[ExecutionEngine],
     evaluate: Optional[Evaluate],
     simulate: Optional[Simulate],
 ) -> ExecutionEngine:
+    """``engine``, or a private single-worker engine over the two
+    callables (the original free-function behavior)."""
     if engine is not None:
         return engine
     if evaluate is None or simulate is None:
@@ -158,15 +171,6 @@ def evaluate_all(
         engine = ExecutionEngine(evaluate, lambda config: 0.0)
     return engine.evaluate_all(configs)
 
-
-def best_entry(timed: List[EvaluatedConfig], strategy: str) -> EvaluatedConfig:
-    """Fastest measured entry; raises when nothing could be timed."""
-    if not timed:
-        raise ValueError(f"{strategy}: no configuration could be timed")
-    return min(timed, key=lambda e: e.seconds)
-
-
-_best = best_entry
 
 #: Strategy names accepted by :func:`select_timed` — the same strings
 #: each strategy records on its :class:`SearchResult`.  Derived from
@@ -235,6 +239,75 @@ def select_timed(
     )
 
 
+
+
+def requested_sample_size(
+    strategy: str, select_kwargs: Dict[str, Any]
+) -> Optional[int]:
+    """The sample size a ``random`` selection asked for; ``None`` for
+    every other strategy."""
+    if strategy == "random":
+        return select_kwargs.get("sample_size", 0)
+    return None
+
+
+def assemble_result(
+    strategy: str,
+    evaluated: List[EvaluatedConfig],
+    timed: List[EvaluatedConfig],
+    select_kwargs: Optional[Dict[str, Any]] = None,
+    **fields: Any,
+) -> SearchResult:
+    """The one result assembler behind every search.
+
+    ``measured_seconds`` is summed in one sequential loop over
+    ``timed`` in selection order, so the total is bit-identical however
+    the entries were measured: one engine batch, cancellable chunks, or
+    memo reads on the service's fast lane.  ``select_kwargs`` supplies
+    ``random``'s requested sample size; adaptive runs pass their zoo
+    fields (``trajectory``, ``budget``, ``seed``, ...) as ``fields``.
+    ``best`` is the fastest timed entry; an empty ``timed`` raises.
+    """
+    if not timed:
+        raise ValueError(f"{strategy}: no configuration could be timed")
+    total = 0.0
+    for entry in timed:
+        total += entry.seconds
+    return SearchResult(
+        strategy=strategy,
+        evaluated=evaluated,
+        timed=timed,
+        best=min(timed, key=lambda e: e.seconds),
+        measured_seconds=total,
+        requested_sample_size=requested_sample_size(
+            strategy, select_kwargs or {}
+        ),
+        **fields,
+    )
+
+
+def run_selection(
+    strategy: str,
+    configs: Sequence[Configuration],
+    engine: ExecutionEngine,
+    *,
+    measure: Optional[Callable[[List[EvaluatedConfig]], None]] = None,
+    **select_kwargs: Any,
+) -> SearchResult:
+    """The selection sweep: evaluate every configuration, select the
+    subset to time, measure it, assemble the result.
+
+    ``measure`` fills ``entry.seconds`` on the selected entries and
+    defaults to one ``engine.time_entries`` batch; the service passes
+    its chunked, cancellable loop instead.  Every strategy function
+    below, ``run_sweep`` and ``run-local`` are this one call.
+    """
+    evaluated = engine.evaluate_all(configs)
+    timed = select_timed(strategy, evaluated, **select_kwargs)
+    (measure or engine.time_entries)(timed)
+    return assemble_result(strategy, evaluated, timed, select_kwargs)
+
+
 def full_exploration(
     configs: Sequence[Configuration],
     evaluate: Optional[Evaluate] = None,
@@ -242,16 +315,8 @@ def full_exploration(
     engine: Optional[ExecutionEngine] = None,
 ) -> SearchResult:
     """Measure every valid configuration."""
-    engine = _resolve_engine(engine, evaluate, simulate)
-    evaluated = engine.evaluate_all(configs)
-    timed = select_timed("exhaustive", evaluated)
-    total = engine.time_entries(timed)
-    return SearchResult(
-        strategy="exhaustive",
-        evaluated=evaluated,
-        timed=timed,
-        best=_best(timed, "exhaustive"),
-        measured_seconds=total,
+    return run_selection(
+        "exhaustive", configs, resolve_engine(engine, evaluate, simulate),
     )
 
 
@@ -269,18 +334,9 @@ def pareto_search(
     curve ("One should screen away such points prior to defining the
     curve").
     """
-    engine = _resolve_engine(engine, evaluate, simulate)
-    evaluated = engine.evaluate_all(configs)
-    selected = select_timed(
-        "pareto", evaluated, screen_bandwidth_bound=screen_bandwidth_bound,
-    )
-    total = engine.time_entries(selected)
-    return SearchResult(
-        strategy="pareto",
-        evaluated=evaluated,
-        timed=selected,
-        best=_best(selected, "pareto"),
-        measured_seconds=total,
+    return run_selection(
+        "pareto", configs, resolve_engine(engine, evaluate, simulate),
+        screen_bandwidth_bound=screen_bandwidth_bound,
     )
 
 
@@ -300,19 +356,9 @@ def pareto_cluster_search(
     configurations."  The Pareto subset is computed as usual, then only
     one randomly-chosen representative per metric cluster is timed.
     """
-    engine = _resolve_engine(engine, evaluate, simulate)
-    evaluated = engine.evaluate_all(configs)
-    representatives = select_timed(
-        "pareto+cluster", evaluated,
+    return run_selection(
+        "pareto+cluster", configs, resolve_engine(engine, evaluate, simulate),
         relative_tolerance=relative_tolerance, seed=seed,
-    )
-    total = engine.time_entries(representatives)
-    return SearchResult(
-        strategy="pareto+cluster",
-        evaluated=evaluated,
-        timed=representatives,
-        best=_best(representatives, "pareto+cluster"),
-        measured_seconds=total,
     )
 
 
@@ -332,17 +378,7 @@ def random_search(
     Table 4-style comparisons against another strategy's budget are not
     silently skewed.
     """
-    engine = _resolve_engine(engine, evaluate, simulate)
-    evaluated = engine.evaluate_all(configs)
-    sample = select_timed(
-        "random", evaluated, sample_size=sample_size, seed=seed,
-    )
-    total = engine.time_entries(sample)
-    return SearchResult(
-        strategy="random",
-        evaluated=evaluated,
-        timed=sample,
-        best=_best(sample, "random"),
-        measured_seconds=total,
-        requested_sample_size=sample_size,
+    return run_selection(
+        "random", configs, resolve_engine(engine, evaluate, simulate),
+        sample_size=sample_size, seed=seed,
     )

@@ -22,6 +22,7 @@ from repro.tuning.strategies.registry import (
     adaptive_strategy_names,
     build_strategy,
     get_spec,
+    is_integer,
     request_fields,
     request_kwargs,
     selection_strategy_names,
@@ -40,6 +41,7 @@ __all__ = [
     "adaptive_strategy_names",
     "build_strategy",
     "get_spec",
+    "is_integer",
     "request_fields",
     "request_kwargs",
     "selection_strategy_names",

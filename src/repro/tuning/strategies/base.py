@@ -31,7 +31,12 @@ from repro.tuning.engine import (
     ExecutionEngine,
     Simulate,
 )
-from repro.tuning.search import SearchResult, best_entry, select_timed
+from repro.tuning.search import (
+    SearchResult,
+    assemble_result,
+    resolve_engine,
+    select_timed,
+)
 from repro.tuning.space import Configuration
 
 __all__ = [
@@ -226,7 +231,7 @@ class SearchStrategy(abc.ABC):
         caller that needs cancellation raises from it (the service
         daemon raises :class:`~repro.service.registry.SweepCancelled`).
         """
-        engine = _resolve_engine(engine, evaluate, simulate)
+        engine = resolve_engine(engine, evaluate, simulate)
         evaluated = engine.evaluate_all(configs)
         pool = _restrict_pool(evaluated, restrict)
         valid_count = sum(1 for e in evaluated if e.is_valid)
@@ -235,15 +240,8 @@ class SearchStrategy(abc.ABC):
         rng = random.Random(seed)
         if pool and resolved > 0:
             self.search(run, rng, **params)
-        total = 0.0
-        for entry in run.timed:
-            total += entry.seconds
-        return SearchResult(
-            strategy=self.name,
-            evaluated=evaluated,
-            timed=run.timed,
-            best=best_entry(run.timed, self.name),
-            measured_seconds=total,
+        return assemble_result(
+            self.name, evaluated, run.timed,
             trajectory=list(run.trajectory),
             budget=resolved,
             seed=seed,
@@ -254,21 +252,6 @@ class SearchStrategy(abc.ABC):
     @abc.abstractmethod
     def search(self, run: BudgetedRun, rng: random.Random, **params) -> None:
         """Spend ``run``'s budget; called once, with a seeded RNG."""
-
-
-def _resolve_engine(
-    engine: Optional[ExecutionEngine],
-    evaluate: Optional[Evaluate],
-    simulate: Optional[Simulate],
-) -> ExecutionEngine:
-    if engine is not None:
-        return engine
-    if evaluate is None or simulate is None:
-        raise TypeError(
-            "adaptive strategies need either an engine= or both "
-            "evaluate and simulate callables"
-        )
-    return ExecutionEngine(evaluate, simulate)
 
 
 def _restrict_pool(

@@ -34,6 +34,7 @@ __all__ = [
     "adaptive_strategy_names",
     "build_strategy",
     "get_spec",
+    "is_integer",
     "request_fields",
     "request_kwargs",
     "selection_strategy_names",
@@ -207,6 +208,18 @@ def request_kwargs(spec: StrategySpec, payload: Dict[str, Any]) -> Dict[str, Any
     return _adaptive_kwargs(spec, payload)
 
 
+def is_integer(value: Any) -> bool:
+    """A JSON integer: ``int`` but not ``bool`` (``true`` is not 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _seed(payload: Dict[str, Any]) -> int:
+    seed = payload.get("seed", 0)
+    if not is_integer(seed):
+        raise StrategyError(f"seed must be an integer, not {seed!r}")
+    return seed
+
+
 def _selection_kwargs(name: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     kwargs: Dict[str, Any] = {}
     if name == "pareto":
@@ -215,28 +228,31 @@ def _selection_kwargs(name: str, payload: Dict[str, Any]) -> Dict[str, Any]:
             raise StrategyError("screen_bandwidth_bound must be a boolean")
         kwargs["screen_bandwidth_bound"] = screen
     elif name == "pareto+cluster":
-        kwargs["relative_tolerance"] = float(
-            payload.get("relative_tolerance", 1e-9)
-        )
-        kwargs["seed"] = int(payload.get("seed", 0))
+        tolerance = payload.get("relative_tolerance", 1e-9)
+        if not (is_integer(tolerance) or isinstance(tolerance, float)):
+            raise StrategyError(
+                f"relative_tolerance must be a number, not {tolerance!r}"
+            )
+        kwargs["relative_tolerance"] = float(tolerance)
+        kwargs["seed"] = _seed(payload)
     elif name == "random":
         sample_size = payload.get("sample_size")
-        if not isinstance(sample_size, int) or sample_size < 1:
+        if not is_integer(sample_size) or sample_size < 1:
             raise StrategyError(
                 "random strategy needs a positive integer sample_size"
             )
         kwargs["sample_size"] = sample_size
-        kwargs["seed"] = int(payload.get("seed", 0))
+        kwargs["seed"] = _seed(payload)
     return kwargs
 
 
 def _adaptive_kwargs(
     spec: StrategySpec, payload: Dict[str, Any]
 ) -> Dict[str, Any]:
-    kwargs: Dict[str, Any] = {"seed": int(payload.get("seed", 0))}
+    kwargs: Dict[str, Any] = {"seed": _seed(payload)}
     budget = payload.get("budget")
     if budget is not None:
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        if not is_integer(budget) or budget < 1:
             raise StrategyError("budget must be a positive integer")
         kwargs["budget"] = budget
     restrict = payload.get("restrict", "full")
@@ -250,7 +266,7 @@ def _adaptive_kwargs(
         value = payload.get(knob)
         if value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        if not is_integer(value) or value < minimum:
             raise StrategyError(f"{knob} must be an integer >= {minimum}")
         kwargs[knob] = value
     return kwargs

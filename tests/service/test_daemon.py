@@ -3,11 +3,13 @@ cancellation, warm reuse, and bit-identity with the one-shot path."""
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 
 import pytest
 
+from repro.harness.payload import search_result_payload
 from repro.service.client import ServiceError
 from repro.service.daemon import (
     RequestError,
@@ -15,6 +17,12 @@ from repro.service.daemon import (
     run_sweep,
 )
 from repro.tuning.engine import ExecutionEngine
+from repro.tuning.search import (
+    full_exploration,
+    pareto_cluster_search,
+    pareto_search,
+    random_search,
+)
 
 
 def canonical(payload) -> str:
@@ -262,3 +270,55 @@ def test_sim_overrides_run_on_a_separate_runtime(fake_app_class,
 def test_parse_sweep_request_rejects_non_object(fake_app_class):
     with pytest.raises(RequestError):
         parse_sweep_request([1, 2], {"fake": fake_app_class()})
+
+
+@pytest.mark.parametrize("payload, needle", [
+    ({"strategy": "random", "sample_size": 3, "seed": "abc"}, "seed"),
+    ({"strategy": "random", "sample_size": 3, "seed": 1.7}, "seed"),
+    ({"strategy": "random", "sample_size": True}, "sample_size"),
+    ({"strategy": "genetic", "seed": None}, "seed"),
+    ({"strategy": "pareto+cluster", "relative_tolerance": [1]},
+     "relative_tolerance"),
+    ({"strategy": "exhaustive", "limit": True}, "limit"),
+    ({"strategy": "exhaustive", "chunk_size": True}, "chunk_size"),
+], ids=["seed-string", "seed-float", "sample_size-true", "seed-null",
+        "relative_tolerance-list", "limit-true", "chunk_size-true"])
+def test_hostile_request_fields_are_counted_400s(fake_app_class,
+                                                 service_factory,
+                                                 payload, needle):
+    """Wrongly typed fields end in a counted 400, never a 500 or a
+    silent coercion (``true`` is not 1, 1.7 is not a seed)."""
+    daemon = service_factory([fake_app_class()])
+    with pytest.raises(ServiceError) as caught:
+        daemon.client.submit({"app": "fake", **payload})
+    assert caught.value.status == 400
+    assert needle in caught.value.message
+    assert daemon.service.counters["requests_rejected"] == 1
+    assert daemon.service.counters["sweeps_submitted"] == 0
+
+
+@pytest.mark.parametrize("search, payload", [
+    (full_exploration, {"strategy": "exhaustive"}),
+    (functools.partial(pareto_search, screen_bandwidth_bound=True),
+     {"strategy": "pareto", "screen_bandwidth_bound": True}),
+    (functools.partial(pareto_cluster_search, relative_tolerance=0.05,
+                       seed=3),
+     {"strategy": "pareto+cluster", "relative_tolerance": 0.05, "seed": 3}),
+    (functools.partial(random_search, sample_size=7, seed=2),
+     {"strategy": "random", "sample_size": 7, "seed": 2}),
+], ids=["exhaustive", "pareto", "pareto+cluster", "random"])
+def test_search_functions_match_run_sweep(search, payload):
+    """Each public search function returns exactly the SearchResult
+    that ``run_sweep`` (the daemon's and ``run-local``'s core) reports
+    for the same request, on cp's test instance."""
+    from repro.apps import CoulombicPotential
+
+    app = CoulombicPotential().test_instance()
+    request = parse_sweep_request({"app": "cp", **payload}, {"cp": app})
+    with ExecutionEngine.for_app(app, workers=1) as engine:
+        direct = search(request.configs, engine=engine)
+    with ExecutionEngine.for_app(
+        CoulombicPotential().test_instance(), workers=1
+    ) as engine:
+        swept = run_sweep(engine, request)
+    assert canonical(search_result_payload(direct)) == canonical(swept)

@@ -65,32 +65,64 @@ def test_both_lanes_report_every_engine_stat(fake_app_class,
     assert set(cold["stats"]) == set(warm["stats"]) == attributes
 
 
+#: warms every static entry of FakeApp's space but measures only one
+#: configuration, so a following sweep probes as partially warm
+PARTIAL_PRIME = {"app": "fake", "strategy": "random", "sample_size": 1,
+                 "seed": 3}
+
+#: every selection strategy, the stochastic ones under fixed seeds
+SELECTION_REQUESTS = [
+    {"app": "fake", "strategy": "pareto"},
+    {"app": "fake", "strategy": "pareto", "screen_bandwidth_bound": True},
+    {"app": "fake", "strategy": "pareto+cluster", "seed": 5},
+    {"app": "fake", "strategy": "random", "sample_size": 6, "seed": 11},
+    {"app": "fake", "strategy": "exhaustive"},
+]
+
+
 def test_fastlane_bit_identical_to_engine_path(fake_app_class,
                                                service_factory):
-    """The same warm request through a fastlane daemon, a
-    fastlane-disabled daemon, and the one-shot oracle must produce the
-    byte-identical result payload."""
-    request = {"app": "fake", "strategy": "pareto"}
-    lane_daemon = service_factory([fake_app_class()])
-    lane_daemon.client.sweep(request)  # warm the memo
-    warm_lane = lane_daemon.client.sweep(request)
-    assert lane_daemon.client.status(warm_lane["id"])["lane"] == "fastlane"
-
-    engine_daemon = service_factory([fake_app_class()], fastlane=False)
-    engine_daemon.client.sweep(request)
-    warm_engine = engine_daemon.client.sweep(request)
-    assert (engine_daemon.client.status(warm_engine["id"])["lane"]
-            == "engine")
-
-    oracle = local_oracle(fake_app_class, request)
-    assert canonical(warm_lane["result"]) == canonical(oracle)
-    assert canonical(warm_lane["result"]) == canonical(warm_engine["result"])
-    # and the synthetic stats delta counts the same cache traffic the
-    # classic warm path reports
-    for counter in ("simulations", "static_evaluations",
-                    "static_cache_hits", "simulation_cache_hits",
-                    "cache_hits"):
-        assert warm_lane["stats"][counter] == warm_engine["stats"][counter]
+    """Each selection request through every lane — ``engine`` (cold),
+    ``fastlane-partial`` and ``fastlane`` — on a fastlane daemon, the
+    same sequence on a fastlane-disabled daemon, and the one-shot
+    ``run-local`` oracle must produce the byte-identical result
+    payload, and both daemons must report the same cache traffic."""
+    for request in SELECTION_REQUESTS:
+        oracle = canonical(local_oracle(fake_app_class, request))
+        sequences = (
+            # cold (engine lane), then fully warm (fast lane)
+            ([request, request], ["engine", "fastlane"]),
+            # statics warm, one measurement warm: only misses dispatch
+            ([PARTIAL_PRIME, request], ["engine", "fastlane-partial"]),
+        )
+        lanes_seen = set()
+        for requests, lanes in sequences:
+            lane_daemon = service_factory([fake_app_class()])
+            engine_daemon = service_factory([fake_app_class()],
+                                            fastlane=False)
+            for payload, lane in zip(requests, lanes):
+                on_lane = lane_daemon.client.sweep(payload)
+                on_engine = engine_daemon.client.sweep(payload)
+                assert (lane_daemon.client.status(on_lane["id"])["lane"]
+                        == lane), (request, lane)
+                assert (engine_daemon.client.status(on_engine["id"])["lane"]
+                        == "engine"), request
+                assert canonical(on_lane["result"]) == canonical(
+                    on_engine["result"]
+                ), (request, lane)
+                for counter in ("simulations", "static_evaluations",
+                                "static_cache_hits",
+                                "simulation_cache_hits", "cache_hits"):
+                    assert (on_lane["stats"][counter]
+                            == on_engine["stats"][counter]), (
+                        request, lane, counter)
+                if payload is request:
+                    assert canonical(on_lane["result"]) == oracle, (
+                        request, lane)
+                    lanes_seen.add(lane)
+            lane_daemon.close_now()
+            engine_daemon.close_now()
+        assert lanes_seen == {"engine", "fastlane", "fastlane-partial"}
 
 
 def test_partially_warm_sweep_dispatches_only_misses(fake_app_class,
