@@ -1,8 +1,8 @@
 """Tuning-daemon warm-path throughput: fast lane versus executor path.
 
 Not a paper experiment: this benchmark gates the PR 9 service fast
-lane.  Two daemons run in-process over the same persistent store on
-the real matmul space:
+lane.  Two daemons run in-process, each over a persistent store of its
+own, on the real matmul space:
 
 * **engine daemon** (``fastlane=False``) — the memo probe is skipped,
   so every sweep dispatches the whole ``run_sweep`` to the runtime's
@@ -10,9 +10,11 @@ the real matmul space:
 * **fastlane daemon** — warm re-submits are probed against the
   resident memo and answered on the event loop.
 
-Each daemon pays one cold sweep to warm its resident memo (the second
-daemon's cold sweep is already store-warm — that is the store doing
-its job, not the lane under test).  Then ``WARM_REQUESTS`` identical
+Each daemon pays one cold sweep to warm its resident memo.  The
+stores are separate so that the concurrency phase's blocker (below)
+is cold on both daemons: the store's ``config`` tier keeps every
+measured configuration, and cp's whole 40-configuration space is what
+the first daemon's blocker measures.  Then ``WARM_REQUESTS`` identical
 re-submits run against each over a keep-alive connection with a tight
 poll interval, interleaved one-for-one between the two daemons so
 that a drift in machine speed during the phase hits both arms alike
@@ -44,10 +46,21 @@ sweep, then its cp executor is occupied with a larger cold cp sample
 (the blocker — a fresh seed, so its configs need real simulation),
 and ``CONCURRENT_CLIENTS`` warm re-submits of the small sweep run
 while the blocker grinds.  On the engine daemon they head-of-line
-block behind the cold job on the runtime's single executor thread;
-on the fastlane daemon every one rides the lane straight past it.
-``concurrency_scaling`` is the engine daemon's wall clock for those
-warm sweeps over the fastlane daemon's.
+block behind the cold job on the runtime's single executor thread:
+asserted, not gated — every one of them finishes after the blocker.
+On the fastlane daemon every one rides the lane straight past it —
+asserted too: each finishes before the blocker does, so the whole
+measurement ran under load — and that is the gate: ``lane_isolation``
+is the lane's wall clock for the same warm sweeps with no blocker
+(the best of ``UNLOADED_REPEATS``) over its wall clock under the
+blocker.  1.0 would mean the blocker costs the lane nothing; the
+blocker's thread shares the interpreter lock with the lane, so it
+reads well below that, but a lane queued behind the blocker would
+read far lower still.  Both walls are the lane's own, so a faster or
+slower cold path moves neither.
+``concurrency_scaling`` (the engine daemon's wall under load over the
+lane's) is still reported; it is not gated, because its numerator is
+mostly the blocker's remaining run time.
 
 Results are written to ``BENCH_service_throughput.json`` at the repo
 root; nightly CI uploads it next to the other ``BENCH_*`` artifacts.
@@ -89,6 +102,8 @@ BLOCKER_SAMPLE_SIZE = 40
 #: own started->finished window (the executor path runs off-loop and
 #: is immune), skewing the comparison against the lane.
 POLL_INTERVAL = 0.005
+#: unloaded lane walls taken; the best is the isolation numerator
+UNLOADED_REPEATS = 3
 
 
 def canonical(payload) -> str:
@@ -155,17 +170,20 @@ def percentile(latencies, fraction: float) -> float:
     return ordered[index]
 
 
-def _warm_wall_under_blocker(daemon, seed: int):
-    """Wall clock of warm ``CP_WARM_REQUEST`` re-submits while a cold
-    cp sampling sweep holds the cp runtime's executor.  Submitted
-    first, the blocker owns the runtime's single executor thread for
-    its whole run — on the engine daemon the warm sweeps head-of-line
-    block behind it; on the fastlane daemon they ride the lane
-    straight past it."""
-    blocker = daemon.client.submit({
-        "app": "cp", "strategy": "random",
-        "sample_size": BLOCKER_SAMPLE_SIZE, "seed": seed,
-    })
+def _warm_wall(daemon, seed=None):
+    """Wall clock of warm ``CP_WARM_REQUEST`` re-submits, with the
+    outcomes and the blocker's final status.  With a ``seed``, a cold
+    cp sampling sweep of that seed is submitted first and holds the cp
+    runtime's executor meanwhile: its single executor thread is the
+    blocker's for the whole run — on the engine daemon the warm sweeps
+    head-of-line block behind it; on the fastlane daemon they ride the
+    lane straight past it.  Without one, the sweeps run unloaded."""
+    blocker = None
+    if seed is not None:
+        blocker = daemon.client.submit({
+            "app": "cp", "strategy": "random",
+            "sample_size": BLOCKER_SAMPLE_SIZE, "seed": seed,
+        })
     client = ServiceClient(
         f"http://{daemon.client.host}:{daemon.client.port}",
         timeout=300, keep_alive=True,
@@ -179,9 +197,11 @@ def _warm_wall_under_blocker(daemon, seed: int):
     finally:
         client.close()
     wall = time.perf_counter() - started
+    if blocker is None:
+        return wall, outcomes, None
     blocker_status = daemon.client.wait(blocker["id"], timeout=300)
     assert blocker_status["state"] == "done", blocker_status
-    return wall, outcomes
+    return wall, outcomes, blocker_status
 
 
 def service_deltas(daemon, before):
@@ -194,6 +214,7 @@ def service_deltas(daemon, before):
 
 def test_warm_sweep_fastlane_throughput():
     store_dir = tempfile.mkdtemp(prefix="repro-store-service-bench-")
+    lane_store_dir = tempfile.mkdtemp(prefix="repro-store-service-bench-")
     engine_daemon = fastlane_daemon = None
     try:
         # ------------------------------------------------------------------
@@ -207,10 +228,11 @@ def test_warm_sweep_fastlane_throughput():
         cold = engine_daemon.client.sweep(REQUEST, timeout=600)
         cold_seconds = time.perf_counter() - cold_started
 
-        # The fast lane, over the same store (its cold sweep is
-        # store-warm: the executor runs once, simulating nothing).
+        # The fast lane, over a store of its own (so its blocker below
+        # is as cold as the engine daemon's).
         fastlane_daemon = RunningService(
-            [MatMul(), CoulombicPotential()], workers=1, store=store_dir,
+            [MatMul(), CoulombicPotential()], workers=1,
+            store=lane_store_dir,
             keep_alive=True,
         )
         seed = fastlane_daemon.client.sweep(REQUEST, timeout=600)
@@ -241,17 +263,20 @@ def test_warm_sweep_fastlane_throughput():
 
         # ------------------------------------------------------------------
         # Concurrency: warm the small cp sweep on each daemon, occupy
-        # each cp executor with a cold cp sample (distinct seeds, so
-        # neither blocker replays the other's store entries
-        # config-for-config), and run the warm re-submits against it.
+        # each cp executor with a cold cp sample, and run the warm
+        # re-submits against it (the lane also runs them unloaded).
         cp_seed = engine_daemon.client.sweep(CP_WARM_REQUEST, timeout=600)
-        serial_seconds, engine_under_load = _warm_wall_under_blocker(
+        serial_seconds, engine_under_load, engine_blocker = _warm_wall(
             engine_daemon, seed=3
         )
         for payload, status in engine_under_load:
             assert canonical(payload["result"]) == canonical(
                 cp_seed["result"]
             )
+            # Head-of-line: the executor was the blocker's until it
+            # finished (same daemon, same clock).
+            assert status["lane"] == "engine"
+            assert status["finished"] >= engine_blocker["finished"]
 
         lane_cp_seed = fastlane_daemon.client.sweep(
             CP_WARM_REQUEST, timeout=600
@@ -259,27 +284,36 @@ def test_warm_sweep_fastlane_throughput():
         assert canonical(lane_cp_seed["result"]) == canonical(
             cp_seed["result"]
         )
-        concurrent_seconds, lane_under_load = _warm_wall_under_blocker(
+        unloaded = [_warm_wall(fastlane_daemon)
+                    for _ in range(UNLOADED_REPEATS)]
+        lane_unloaded_seconds = min(wall for wall, _, _ in unloaded)
+        concurrent_seconds, lane_under_load, lane_blocker = _warm_wall(
             fastlane_daemon, seed=4
         )
-        for payload, status in lane_under_load:
+        for payload, status in lane_under_load + [
+                outcome for _, outcomes, _ in unloaded
+                for outcome in outcomes]:
             assert status["lane"] == "fastlane"
             assert canonical(payload["result"]) == canonical(
                 cp_seed["result"]
             )
+        for _, status in lane_under_load:
+            assert status["finished"] < lane_blocker["finished"]
+        lane_isolation = lane_unloaded_seconds / concurrent_seconds
         concurrency_scaling = serial_seconds / concurrent_seconds
     finally:
         for daemon in (engine_daemon, fastlane_daemon):
             if daemon is not None:
                 daemon.close()
         shutil.rmtree(store_dir, ignore_errors=True)
+        shutil.rmtree(lane_store_dir, ignore_errors=True)
 
     fastlane_speedup = min(engine_sweep_lat) / min(fastlane_sweep_lat)
 
     with open(BASELINE_PATH) as handle:
         baseline = json.load(handle)
     expected_speedup = baseline["matmul_exhaustive"]["fastlane_speedup"]
-    expected_scaling = baseline["matmul_exhaustive"]["concurrency_scaling"]
+    expected_isolation = baseline["matmul_exhaustive"]["lane_isolation"]
     allowed_fraction = baseline["allowed_fraction"]
 
     def latency_block(sweep, total, client):
@@ -314,15 +348,23 @@ def test_warm_sweep_fastlane_throughput():
                 "app": "cp", "strategy": "random",
                 "sample_size": BLOCKER_SAMPLE_SIZE,
             },
+            "engine_blocker_seconds": round(
+                engine_blocker["finished"] - engine_blocker["started"], 3
+            ),
+            "fastlane_blocker_seconds": round(
+                lane_blocker["finished"] - lane_blocker["started"], 3
+            ),
             "engine_under_load_seconds": round(serial_seconds, 3),
+            "fastlane_unloaded_seconds": round(lane_unloaded_seconds, 3),
             "fastlane_under_load_seconds": round(concurrent_seconds, 3),
             "scaling": round(concurrency_scaling, 2),
-            "baseline_scaling": expected_scaling,
+            "lane_isolation": round(lane_isolation, 3),
+            "baseline_isolation": expected_isolation,
         },
         "gate": (
             f"fastlane_speedup (min/min) >= "
             f"max(2.0, {allowed_fraction} * baseline) "
-            f"and scaling >= {allowed_fraction} * baseline_scaling"
+            f"and lane_isolation >= {allowed_fraction} * baseline_isolation"
         ),
     }
     with open(RESULT_PATH, "w") as handle:
@@ -335,8 +377,8 @@ def test_warm_sweep_fastlane_throughput():
         f"executor path vs required {floor:.2f}x "
         f"(baseline {expected_speedup}x, fraction {allowed_fraction})"
     )
-    assert concurrency_scaling >= allowed_fraction * expected_scaling, (
-        f"concurrent warm sweeps regressed: {concurrency_scaling:.2f}x "
-        f"vs baseline {expected_scaling}x "
+    assert lane_isolation >= allowed_fraction * expected_isolation, (
+        f"warm sweeps on the lane slowed under a cold blocker: isolation "
+        f"{lane_isolation:.3f} vs baseline {expected_isolation} "
         f"(allowed fraction {allowed_fraction})"
     )

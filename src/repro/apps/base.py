@@ -29,7 +29,7 @@ from repro.metrics.efficiency import efficiency
 from repro.metrics.model import MetricReport, evaluate_kernel
 from repro.obs.trace import span
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
-from repro.sim.fingerprint import SimulationCache, kernel_fingerprint
+from repro.sim.fingerprint import Launch, SimulationCache, kernel_fingerprint
 from repro.sim.gpu import SimulationResult, simulate_kernel
 from repro.tuning.space import ConfigSpace, Configuration
 
@@ -214,18 +214,43 @@ class Application(abc.ABC):
         absorbed by a shadow cache (it used to undercount).
         """
         kernel = self.kernel(config)
-        fingerprint = self._fingerprint_cache.get(config)
-        if fingerprint is None:
-            fingerprint = kernel_fingerprint(
-                kernel, self.effective_sim_config(config)
-            )
-            self._fingerprint_cache[config] = fingerprint
+        fingerprint = self._fingerprint(config, kernel)
         cached = self._sim_cache.lookup_compile(fingerprint)
         if cached is not None:
             return self._specialize_report(cached, kernel)
         report = evaluate_kernel(kernel)
         self._sim_cache.store_compile(fingerprint, report)
         return report
+
+    def _fingerprint(self, config: Configuration, kernel: Kernel) -> str:
+        fingerprint = self._fingerprint_cache.get(config)
+        if fingerprint is None:
+            fingerprint = kernel_fingerprint(
+                kernel, self.effective_sim_config(config)
+            )
+            self._fingerprint_cache[config] = fingerprint
+        return fingerprint
+
+    def _launch_for(self, config: Configuration):
+        """``(kernel, launch)`` for :func:`simulate_kernel`.
+
+        A configuration whose kernel is in memory is described from it,
+        and its :class:`~repro.sim.fingerprint.Launch` record is kept
+        in ``sim_cache`` (and so in an attached store).  Otherwise a
+        record kept by an earlier sweep stands in for the kernel, which
+        is then built only if an artifact it keys is missing.
+        """
+        key = self.result_key(config)
+        kernel = self._kernel_cache.get(config)
+        if kernel is None:
+            launch = self._sim_cache.lookup_launch(key)
+            if launch is not None:
+                return (lambda: self.kernel(config)), launch
+            kernel = self.kernel(config)
+        launch = Launch(self._fingerprint(config, kernel), kernel.name,
+                        kernel.num_blocks)
+        self._sim_cache.store_launch(key, launch)
+        return kernel, launch
 
     @staticmethod
     def _specialize_report(report: MetricReport, kernel: Kernel) -> MetricReport:
@@ -293,11 +318,13 @@ class Application(abc.ABC):
         """
         with span("app.simulate", cat="app", app=self.name,
                   config=dict(config)):
+            kernel, launch = self._launch_for(config)
             result = simulate_kernel(
-                self.kernel(config),
+                kernel,
                 self.effective_sim_config(config),
                 resources=self._resources_for(config),
                 cache=self._sim_cache,
+                launch=launch,
             )
         self._time_cache.setdefault(config, self._total_seconds(config, result))
         return result
@@ -317,15 +344,16 @@ class Application(abc.ABC):
             compiled_cache: dict = {}
             with span("app.simulate_group", cat="app", app=self.name,
                       group_size=len(pending)):
-                results = [
-                    simulate_kernel(
-                        self.kernel(c), self.effective_sim_config(c),
-                        resources=self._resources_for(c),
+                results = []
+                for config in pending:
+                    kernel, launch = self._launch_for(config)
+                    results.append(simulate_kernel(
+                        kernel, self.effective_sim_config(config),
+                        resources=self._resources_for(config),
                         cache=self._sim_cache,
                         compiled_cache=compiled_cache,
-                    )
-                    for c in pending
-                ]
+                        launch=launch,
+                    ))
             for config, result in zip(pending, results):
                 self._time_cache.setdefault(
                     config, self._total_seconds(config, result)

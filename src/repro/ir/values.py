@@ -23,10 +23,32 @@ class VirtualRegister:
     Virtual registers are unbounded in number; the ``repro.cubin``
     allocator later maps them onto the 8192-entry physical register
     file to determine registers-per-thread.
+
+    Registers key every dict and set of the cleanup passes, so the
+    hash is computed once, at construction.  It is never pickled:
+    string hashes differ from one interpreter to the next, so an
+    unpickled register hashes afresh, and the pickled state stays the
+    ``{name, dtype}`` mapping the kernel store has always written.
     """
+
+    __slots__ = ("name", "dtype", "_hash")
 
     name: str
     dtype: DataType
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.dtype)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {"name": self.name, "dtype": self.dtype}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "name", state["name"])
+        object.__setattr__(self, "dtype", state["dtype"])
+        self.__post_init__()
 
     def __str__(self) -> str:
         return f"%{self.name}"

@@ -26,7 +26,7 @@ application shares work across its whole configuration space.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ir.instructions import Instruction, MemRef
 from repro.ir.kernel import Kernel
@@ -185,12 +185,25 @@ def kernel_fingerprint(
     return digest.hexdigest()
 
 
+class Launch(NamedTuple):
+    """What simulating a configuration needs of its kernel while the
+    cache holds the kernel's artifacts: the fingerprint they are keyed
+    by, the kernel's name, and its block count (the grid's one input
+    to the timing).  Kept per configuration, so a process that finds
+    one need not build the kernel at all."""
+
+    fingerprint: str
+    kernel_name: str
+    num_blocks: int
+
+
 #: this cache's counters, zero-filled; replay telemetry accumulates on
 #: SM *misses* only, so it counts real work
 SIM_COUNTERS = {
     "fingerprint_resource_hits": 0,  # compile passes reused across configs
     "fingerprint_trace_hits": 0,     # warp traces reused across configs
     "fingerprint_sm_hits": 0,        # SM replays reused across configs
+    "launch_hits": 0,                # configs simulated from a Launch record
     "compile_hits": 0,               # static reports reused across configs
     "compile_evaluations": 0,        # full static compiles performed
     "waves_simulated": 0,            # full SM waves actually replayed
@@ -198,6 +211,7 @@ SIM_COUNTERS = {
     "blocks_extrapolated": 0,        # blocks projected after convergence
     "blocks_resident": 0,            # sum of per-replay residencies
     "events_replayed": 0,            # dynamic trace events replayed
+    "events_skipped": 0,             # ... of which recurrence jumps covered
 }
 
 
@@ -244,6 +258,9 @@ class SimulationCache:
         #: is grid-independent; the consumer re-specializes those two
         #: from its own kernel (see Application.evaluate).
         self._compile: Dict[str, "MetricReport"] = {}
+        #: per-configuration :class:`Launch` records, keyed by
+        #: ``Application.result_key``
+        self._launches: Dict[str, Launch] = {}
         self.counts = Counters(SIM_COUNTERS)
         self._store: Optional["ResultStore"] = None
         self._store_write_back = True
@@ -341,6 +358,7 @@ class SimulationCache:
             "trace": self._traces,
             "sm": self._sm,
             "compile": self._compile,
+            "launch": self._launches,
         }
         for tier, key, obj in entries:
             if tier == "sm":
@@ -374,6 +392,9 @@ class SimulationCache:
         for fingerprint, obj in self._compile.items():
             target.store("compile", fingerprint, obj)
             written += 1
+        for key, obj in self._launches.items():
+            target.store("launch", key, obj)
+            written += 1
         return written
 
     def preload_from_store(self) -> int:
@@ -396,6 +417,7 @@ class SimulationCache:
             ("trace", self._traces),
             ("sm", self._sm),
             ("compile", self._compile),
+            ("launch", self._launches),
         )
         loaded = 0
         for tier, memory in tiers:
@@ -506,7 +528,25 @@ class SimulationCache:
         counts.incr("blocks_extrapolated", result.blocks_extrapolated)
         counts.incr("blocks_resident", result.blocks_resident)
         counts.incr("events_replayed", result.events_replayed)
+        counts.incr("events_skipped", result.events_skipped)
         self._store_put("sm", (fingerprint, blocks_sampled), result)
+
+    # -- per-configuration launch records ---------------------------------
+
+    def lookup_launch(self, key: str) -> Optional[Launch]:
+        found = self._launches.get(key)
+        if found is None:
+            found = self._store_load("launch", key)
+            if found is None:
+                return None
+            self._launches[key] = found
+        self.counts.incr("launch_hits")
+        return found
+
+    def store_launch(self, key: str, launch: Launch) -> None:
+        if key not in self._launches:
+            self._launches[key] = launch
+            self._store_put("launch", key, launch)
 
     # -- built kernels (the app keeps them in memory) --------------------
 
@@ -537,9 +577,10 @@ class SimulationCache:
         self._traces.clear()
         self._sm.clear()
         self._compile.clear()
+        self._launches.clear()
         self.counts = Counters(SIM_COUNTERS)
         self._store_backlog = []
         self._store_seen = set()
 
 
-__all__ = ["SIM_COUNTERS", "SimulationCache", "kernel_fingerprint"]
+__all__ = ["Launch", "SIM_COUNTERS", "SimulationCache", "kernel_fingerprint"]

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from repro.arch.occupancy import LaunchError, Occupancy
 from repro.cubin.resources import ResourceUsage, cubin_info
 from repro.ir.kernel import Kernel
 from repro.obs.trace import span
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
-from repro.sim.fingerprint import SimulationCache, kernel_fingerprint
+from repro.sim.fingerprint import Launch, SimulationCache, kernel_fingerprint
 from repro.sim.sm import SMResult, compile_trace, simulate_sm
 from repro.sim.trace import build_trace
 
@@ -61,11 +61,12 @@ def _wave_budget(config: SimConfig) -> int:
 
 
 def simulate_kernel(
-    kernel: Kernel,
+    kernel: Union[Kernel, Callable[[], Kernel]],
     config: SimConfig = DEFAULT_SIM_CONFIG,
     resources: Optional[ResourceUsage] = None,
     cache: Optional[SimulationCache] = None,
     compiled_cache: Optional[dict] = None,
+    launch: Optional[Launch] = None,
 ) -> SimulationResult:
     """Estimate a kernel's execution time on the device.
 
@@ -86,16 +87,25 @@ def simulate_kernel(
     :func:`~repro.sim.sm.compile_trace` linearization across every
     replay of the same trace object; replay results are bit-identical
     with or without it.
+
+    ``launch`` (with ``cache``) describes the kernel by its fingerprint,
+    name and block count, so the kernel itself is needed only when a
+    cache tier misses: ``kernel`` may then be a zero-argument callable
+    that builds it, called only for the compile pass or the trace.
     """
-    fingerprint = None
-    if cache is not None:
-        fingerprint = kernel_fingerprint(kernel, config)
+    if launch is None:
+        launch = Launch(
+            kernel_fingerprint(kernel, config) if cache is not None else "",
+            kernel.name, kernel.num_blocks,
+        )
+    build = kernel if callable(kernel) else lambda: kernel
+    fingerprint = launch.fingerprint if cache is not None else None
     if resources is None:
         if fingerprint is not None:
             resources = cache.lookup_resources(fingerprint)
         if resources is None:
-            with span("sim.compile", cat="sim", kernel=kernel.name):
-                resources = cubin_info(kernel)
+            with span("sim.compile", cat="sim", kernel=launch.kernel_name):
+                resources = cubin_info(build())
             if fingerprint is not None:
                 cache.store_resources(fingerprint, resources)
     elif fingerprint is not None:
@@ -107,11 +117,11 @@ def simulate_kernel(
     if fingerprint is not None:
         trace = cache.lookup_trace(fingerprint)
     if trace is None:
-        with span("sim.trace_build", cat="sim", kernel=kernel.name):
-            trace = build_trace(kernel, config)
+        with span("sim.trace_build", cat="sim", kernel=launch.kernel_name):
+            trace = build_trace(build(), config)
         if fingerprint is not None:
             cache.store_trace(fingerprint, trace)
-    blocks_per_sm_total = math.ceil(kernel.num_blocks / config.device.num_sms)
+    blocks_per_sm_total = math.ceil(launch.num_blocks / config.device.num_sms)
     blocks_to_sample = min(
         blocks_per_sm_total,
         occupancy.blocks_per_sm * _wave_budget(config),
@@ -144,7 +154,7 @@ def simulate_kernel(
             cache.store_sm(fingerprint, blocks_to_sample, sm_result)
     cycles = sm_result.cycles_per_block * blocks_per_sm_total
     return SimulationResult(
-        kernel_name=kernel.name,
+        kernel_name=launch.kernel_name,
         cycles=cycles,
         seconds=config.device.cycles_to_seconds(cycles),
         occupancy=occupancy,

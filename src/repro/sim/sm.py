@@ -35,7 +35,13 @@ test pins the equivalence):
 * the DRAM token bucket is inlined (same arithmetic, same order, as
   :class:`~repro.sim.memory_system.MemorySystem`);
 * a warp that is strictly the earliest runnable keeps the issue port
-  with no queue round-trip at all.
+  with no queue round-trip at all;
+* once every resident warp is inside one repeated loop record and the
+  whole SM state recurs shifted by a fixed number of cycles, the
+  replay jumps over the remaining whole periods instead of walking
+  them (:class:`_Recurrence`).  Every constant is a multiple of 1/16,
+  so the shifted sums are exact and the jump is bit-identical; a
+  trace or config that breaks that premise replays event by event.
 
 Wave convergence
 ----------------
@@ -75,6 +81,7 @@ final sampled block.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
@@ -96,8 +103,29 @@ _C_BARRIER = 5   # (5,)
 _C_TEXLOAD = 6   # (6, slot, latency)
 
 
+#: Every time, byte count and busy sum of a replay is a multiple of
+#: 1/16 when every constant is; a jump is taken only while each value
+#: it produces, in sixteenths, is an integer below 2**48 — far inside
+#: the 53-bit mantissa, so every sum the replay forms stays exact.
+_GRAIN = 16.0
+_EXACT_LIMIT = 2.0 ** 48
+#: States the recurrence memo holds; a trace that has not recurred by
+#: then stops being checked until the sentinel enters another loop
+#: range or a block finishes.
+_MEMO_LIMIT = 512
+
+
 class SimulationDeadlock(RuntimeError):
     """The event loop wedged; indicates a malformed trace."""
+
+
+def _dyadic(values) -> bool:
+    """Whether every value is a multiple of 1/16 below the exact bound."""
+    for value in values:
+        scaled = value * _GRAIN
+        if not (scaled < _EXACT_LIMIT and scaled.is_integer()):
+            return False
+    return True
 
 
 class CompiledTrace:
@@ -111,16 +139,24 @@ class CompiledTrace:
     * ``port_cycles`` — total issue-port cycles one warp consumes
       (integer; COMPUTE durations already include the issue cost);
     * ``dram_bytes`` — one warp's total DRAM traffic in bytes.
+
+    ``loops`` lists the flat ``(start, end, period_len)`` range of every
+    program record repeated more than twice — the ranges a replay may
+    jump through (see :class:`_Recurrence`).  It is empty when some
+    constant of the trace or config is not a multiple of 1/16, since
+    the jump's exactness argument needs every time to be one.
     """
 
-    __slots__ = ("events", "n", "port_cycles", "dram_bytes")
+    __slots__ = ("events", "n", "port_cycles", "dram_bytes", "loops")
 
     def __init__(self, events: List[Tuple], port_cycles: int,
-                 dram_bytes: float) -> None:
+                 dram_bytes: float,
+                 loops: Tuple[Tuple[int, int, int], ...]) -> None:
         self.events = events
         self.n = len(events)
         self.port_cycles = port_cycles
         self.dram_bytes = dram_bytes
+        self.loops = loops
 
 
 def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
@@ -175,12 +211,16 @@ def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
         compiled_segments.append(out)
 
     events: List[Tuple] = []
+    loops: List[Tuple[int, int, int]] = []
     for index, repeat in trace.program:
         segment = compiled_segments[index]
         if repeat == 1:
             events.extend(segment)
         else:
+            start = len(events)
             events.extend(segment * repeat)
+            if repeat > 2 and segment:
+                loops.append((start, len(events), len(segment)))
     for event in events:
         opcode = event[0]
         if opcode == _C_COMPUTE:
@@ -193,7 +233,15 @@ def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
             dram_bytes += event[1]
         elif opcode == _C_SFU or opcode == _C_TEXLOAD:
             port_cycles += issue_cost
-    return CompiledTrace(events, port_cycles, dram_bytes)
+    constants = [issue_cost, config.sfu_cycles_per_instruction,
+                 config.sfu_result_latency,
+                 config.burst_window_bytes / share]
+    for segment in compiled_segments:
+        for event in segment:
+            constants.extend(event[1:])
+    if not _dyadic(constants):
+        loops = []
+    return CompiledTrace(events, port_cycles, dram_bytes, tuple(loops))
 
 
 class _Warp:
@@ -222,6 +270,134 @@ class _Block:
         self.finish_time = 0.0
 
 
+class _Recurrence:
+    """Jumps the replay over whole periods of a recurring SM state.
+
+    Checked each time the scheduler pops the sentinel warp, and only
+    while every resident warp is queued (none at a barrier, none done)
+    inside one loop range of :attr:`CompiledTrace.loops`; the memo holds
+    the states of the sentinel's current range.  The state is keyed
+    relative to ``T = port_free``: the queue in pop order as
+    ``(warp, ready - T, pos - sentinel_pos)``, the sentinel's offset
+    within the loop body, each warp's scoreboard entries later than its
+    ready time, and ``sfu_free`` / ``mem_burst_free`` /
+    ``mem_sustained_end`` clamped to ``max(x, T) - T`` (every future
+    issue starts at or after ``T``, so a value below it acts as ``T``).
+    Two equal keys mean the replay from the later state is the earlier
+    one's shifted by ``D`` cycles and ``dpos`` events, as long as every
+    warp stays inside the range and the arithmetic stays exact; the
+    state then advances by ``m`` whole periods at once.
+    """
+
+    __slots__ = ("loops", "starts", "warps", "memo", "range", "open",
+                 "skipped")
+
+    def __init__(self, loops: Tuple[Tuple[int, int, int], ...],
+                 warps: int) -> None:
+        self.loops = loops
+        self.starts = [loop[0] for loop in loops]
+        self.warps = warps
+        self.memo: Dict[tuple, tuple] = {}
+        self.range = -1      # the loop range the memo's states are in
+        self.open = True     # False once the memo filled up or a guard failed
+        self.skipped = 0     # modelled events the jumps covered
+
+    def reset(self, index: int = -1) -> None:
+        """Forget every state: a block finished, or the sentinel moved
+        on to loop range ``index``.  States before either cannot recur
+        after it."""
+        self.memo.clear()
+        self.range = index
+        self.open = True
+
+    def jump(self, warp: _Warp, ready: float, pos: int, fifo: deque,
+             heap: List[tuple], port_free: float, sfu_free: float,
+             burst_free: float, sustained_end: float, issue_busy: float,
+             mem_busy: float, mem_bytes: float) -> Optional[tuple]:
+        """Advance the state past every whole period left in the range.
+
+        ``warp`` is the sentinel, just popped at ``(ready, pos)``.
+        Returns the advanced ``(ready, pos, port_free, sfu_free,
+        burst_free, sustained_end, issue_busy, mem_busy, mem_bytes)``
+        after shifting the queues and scoreboards in place, or ``None``
+        to replay on.
+        """
+        if len(fifo) + len(heap) + 1 != self.warps:
+            return None
+        index = bisect_right(self.starts, pos) - 1
+        if index < 0:
+            return None
+        start, end, period = self.loops[index]
+        if pos >= end:
+            return None
+        if index != self.range:
+            self.reset(index)
+        if not self.open:
+            return None
+        queued = [*fifo, *heap]
+        positions = [entry[3] for entry in queued]
+        last = max(positions, default=pos)
+        if min(positions, default=pos) < start or last >= end:
+            return None
+        if pos > last:
+            last = pos
+        # Pop order is (ready, arrival) across both queues.
+        queued.sort()
+        queued.insert(0, (ready, 0, warp, pos))
+        base = port_free
+        key = [(pos - start) % period,
+               sfu_free - base if sfu_free > base else 0.0,
+               burst_free - base if burst_free > base else 0.0,
+               sustained_end - base if sustained_end > base else 0.0]
+        for r, _, w, at in queued:
+            key.append((w, r - base, at - pos, tuple(sorted(
+                [(slot, t - base) for slot, t in w.pending.items()
+                 if t > r]))))
+        key = tuple(key)
+        memo = self.memo
+        then = memo.get(key)
+        if then is None:
+            if len(memo) < _MEMO_LIMIT:
+                memo[key] = (base, pos, issue_busy, mem_busy, mem_bytes)
+            else:
+                self.open = False
+            return None
+        then_base, then_pos, then_issue, then_busy, then_bytes = then
+        # Stop where the next period would read past the range.
+        periods = (end - last) // (pos - then_pos)
+        if periods < 1:
+            return None
+        shift = (base - then_base) * periods
+        advance = (pos - then_pos) * periods
+        scalars = (ready + shift, port_free + shift, sfu_free + shift,
+                   burst_free + shift, sustained_end + shift,
+                   issue_busy + (issue_busy - then_issue) * periods,
+                   mem_busy + (mem_busy - then_busy) * periods,
+                   mem_bytes + (mem_bytes - then_bytes) * periods)
+        moved_fifo = [(r + shift, seq, w, at + advance)
+                      for r, seq, w, at in fifo]
+        moved_heap = [(r + shift, seq, w, at + advance)
+                      for r, seq, w, at in heap]
+        moved_pending = [(w, {slot: t + shift
+                              for slot, t in w.pending.items()})
+                         for _, _, w, _ in queued]
+        if not (_dyadic(scalars)
+                and _dyadic([entry[0] for entry in moved_fifo])
+                and _dyadic([entry[0] for entry in moved_heap])
+                and all(_dyadic(p.values()) for _, p in moved_pending)):
+            self.open = False
+            return None
+        fifo.clear()
+        fifo.extend(moved_fifo)
+        # Equal shifts keep the heap ordered.
+        heap[:] = moved_heap
+        for w, pending in moved_pending:
+            w.pending = pending
+        memo.clear()
+        self.skipped += advance * self.warps
+        return (scalars[0], pos + advance) + scalars[1:]
+
+
 @dataclasses.dataclass(frozen=True)
 class SMResult:
     """Outcome of simulating one SM over a fixed number of blocks."""
@@ -243,6 +419,9 @@ class SMResult:
     blocks_extrapolated: int = 0
     blocks_resident: int = 0
     events_replayed: int = 0
+    #: the part of ``events_replayed`` a recurrence jump covered
+    #: instead of the event loop (see :class:`_Recurrence`)
+    events_skipped: int = 0
     #: Convergence evidence: the wave at which steady state was
     #: established (0 = never), and which predicate fired
     #: ("analytic" / "wave" / "").
@@ -295,7 +474,8 @@ def simulate_sm(
     span_started = tracer.now() if tracer is not None else 0.0
 
     (cycles, finished_blocks, issue_busy, mem_total_bytes, mem_busy,
-     extrapolated_blocks, converged_wave, converged_mode) = _replay(
+     extrapolated_blocks, converged_wave, converged_mode,
+     events_skipped) = _replay(
         compiled, warps_per_block, blocks_resident, total_blocks, config)
 
     events_replayed = compiled.n * warps_per_block * finished_blocks
@@ -314,6 +494,7 @@ def simulate_sm(
                 "blocks_replayed": finished_blocks,
                 "blocks_extrapolated": extrapolated_blocks,
                 "events_replayed": events_replayed,
+                "events_skipped": events_skipped,
             },
         )
     return SMResult(
@@ -327,6 +508,7 @@ def simulate_sm(
         blocks_extrapolated=extrapolated_blocks,
         blocks_resident=blocks_resident,
         events_replayed=events_replayed,
+        events_skipped=events_skipped,
         converged_wave=converged_wave,
         converged_mode=converged_mode,
     )
@@ -338,11 +520,12 @@ def _replay(
     blocks_resident: int,
     total_blocks: int,
     config: SimConfig,
-) -> Tuple[float, int, float, float, float, int, int, str]:
+) -> Tuple[float, int, float, float, float, int, int, str, int]:
     """The flat-event interpreter (the default replay engine).
 
     Returns ``(cycles, blocks_replayed, issue_busy, dram_bytes,
-    dram_busy, blocks_extrapolated, converged_wave, converged_mode)``.
+    dram_busy, blocks_extrapolated, converged_wave, converged_mode,
+    events_skipped)``.
     """
     events = compiled.events
     n = compiled.n
@@ -374,6 +557,11 @@ def _replay(
             block.warps.append(w)
             fifo.append((0.0, sequence, w, 0))
             sequence += 1
+
+    # Recurrence jumps are checked at pops of one sentinel warp.
+    recurrence = _Recurrence(compiled.loops,
+                             blocks_resident * warps_per_block)
+    sentinel = blocks[0].warps[0] if compiled.loops else None
 
     port_free = 0.0
     sfu_free = 0.0
@@ -422,6 +610,15 @@ def _replay(
             else:
                 break
             ready, _, warp, pos = entry
+            if warp is sentinel:
+                jumped = recurrence.jump(
+                    warp, ready, pos, fifo, heap, port_free, sfu_free,
+                    mem_burst_free, mem_sustained_end, issue_busy,
+                    mem_busy, mem_total_bytes)
+                if jumped is not None:
+                    (ready, pos, port_free, sfu_free, mem_burst_free,
+                     mem_sustained_end, issue_busy, mem_busy,
+                     mem_total_bytes) = jumped
 
         if pos == n:
             # End of trace: the warp (and possibly its block) is done.
@@ -431,6 +628,7 @@ def _replay(
                 block.finish_time = ready
             if block.done_count == warps_per_block:
                 finished_blocks += 1
+                recurrence.reset()
                 if block.finish_time > finish_time:
                     finish_time = block.finish_time
                 if (rtol > 0.0 and not converged
@@ -601,4 +799,5 @@ def _replay(
         mem_busy += extrapolated_blocks * wave_busy_pb
         mem_total_bytes += extrapolated_blocks * wave_bytes_pb
     return (cycles, finished_blocks, issue_busy, mem_total_bytes, mem_busy,
-            extrapolated_blocks, converged_wave, converged_mode)
+            extrapolated_blocks, converged_wave, converged_mode,
+            recurrence.skipped)

@@ -13,6 +13,7 @@ from repro.store.disk import (
     COMPILE_TIER,
     CONFIG_TIER,
     KERNEL_TIER,
+    LAUNCH_TIER,
     RESOURCES_TIER,
     ResultStore,
     SCHEMA_VERSION,
@@ -32,6 +33,7 @@ __all__ = [
     "CONFIG_TIER",
     "DecodedCache",
     "KERNEL_TIER",
+    "LAUNCH_TIER",
     "RESOURCES_TIER",
     "ResultStore",
     "SCHEMA_VERSION",

@@ -102,7 +102,9 @@ logger = logging.getLogger(__name__)
 #: v2: SMResult grew integer block counters (blocks_replayed /
 #: blocks_extrapolated / blocks_resident) replacing the float wave
 #: fraction, so v1 sm-tier pickles no longer match the dataclass.
-SCHEMA_VERSION = 2
+#: v3: SMResult grew ``events_skipped`` (the events a recurrence jump
+#: covered); v2 sm-tier entries predate it and are replayed again.
+SCHEMA_VERSION = 3
 MAGIC = "repro-store"
 
 #: artifact families the store persists, one directory each
@@ -115,8 +117,11 @@ COMPILE_TIER = "compile"
 #: kernels ``Application.kernel`` would otherwise rebuild
 CONFIG_TIER = "config"
 KERNEL_TIER = "kernel"
+#: per-configuration ``Launch`` records (fingerprint, kernel name,
+#: block count), same key: simulating from one needs no kernel
+LAUNCH_TIER = "launch"
 TIERS = (RESOURCES_TIER, TRACE_TIER, SM_TIER, COMPILE_TIER, CONFIG_TIER,
-         KERNEL_TIER)
+         KERNEL_TIER, LAUNCH_TIER)
 
 #: environment variable naming the store directory (the harness's
 #: ``--store`` flag wins when both are given)
@@ -659,6 +664,7 @@ __all__ = [
     "COMPILE_TIER",
     "CONFIG_TIER",
     "KERNEL_TIER",
+    "LAUNCH_TIER",
     "MAGIC",
     "RESOURCES_TIER",
     "ResultStore",

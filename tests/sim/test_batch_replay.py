@@ -156,6 +156,7 @@ SM_COUNTERS = (
     "blocks_extrapolated",
     "blocks_resident",
     "events_replayed",
+    "events_skipped",
 )
 
 

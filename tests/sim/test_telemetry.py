@@ -97,6 +97,7 @@ class TestSimulationCache:
             "fingerprint_resource_hits": 0,
             "fingerprint_trace_hits": 0,
             "fingerprint_sm_hits": 0,
+            "launch_hits": 0,
             "compile_hits": 0,
             "compile_evaluations": 0,
             "waves_simulated": 0,
@@ -104,6 +105,7 @@ class TestSimulationCache:
             "blocks_extrapolated": 0,
             "blocks_resident": 0,
             "events_replayed": 0,
+            "events_skipped": 0,
         }
 
 

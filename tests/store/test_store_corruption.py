@@ -23,6 +23,7 @@ from repro.store import (
     CONFIG_TIER,
     ResultStore,
     SCHEMA_VERSION,
+    SM_TIER,
     TRACE_TIER,
     VERIFY_POLICIES,
 )
@@ -179,6 +180,49 @@ def test_damaged_config_entry_is_recomputed(tmp_path, caplog, verify,
     assert (entries, seconds) == (reference, reference_seconds)
     assert stats.store_corrupt == 0
     assert stats.static_evaluations == stats.simulations == 0
+
+
+def test_v2_sm_entry_is_dropped_and_recomputed(tmp_path, caplog):
+    """Schema 3 gave ``SMResult`` its ``events_skipped`` field: an sm
+    entry a v2 build wrote is a counted miss and is replayed again,
+    never served."""
+    from repro.sim.fingerprint import SimulationCache
+    from repro.sim.gpu import simulate_kernel
+
+    app = MatMul().test_instance()
+    config = app.default_configuration()
+    kernel, sim_config = app.kernel(config), app.sim_config(config)
+    root = str(tmp_path / "store")
+
+    def simulate():
+        cache = SimulationCache()
+        cache.attach_store(ResultStore(root))
+        return simulate_kernel(kernel, sim_config, cache=cache), cache
+
+    first, _ = simulate()
+    store = ResultStore(root)
+    (key,) = store.list_keys(SM_TIER)
+    path = store._entry_path(SM_TIER, key)
+    header, payload = open(path, "rb").read().split(b"\n", 1)
+    fields = header.split(b" ")
+    assert fields[1] == b"3"
+    fields[1] = b"2"
+    with open(path, "wb") as handle:
+        handle.write(b" ".join(fields) + b"\n" + payload)
+
+    with caplog.at_level(logging.WARNING, logger="repro.store.disk"):
+        again, cache = simulate()
+    counters = cache.counters()
+    assert again.sm == first.sm
+    assert counters["store_corrupt"] == 1
+    assert counters["store_misses"] == 1
+    assert counters["events_replayed"] == first.sm.events_replayed
+    assert any("schema" in record.message for record in caplog.records)
+
+    # The replay rewrote the entry under schema 3.
+    third, cache = simulate()
+    assert third.sm == first.sm
+    assert cache.counters()["events_replayed"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,41 @@ def test_cross_store_warm_start(tmp_path, app, configs):
     assert fresh.sim_cache.store.counts["store_hits"] > 0
 
 
+@pytest.mark.parametrize("preload", [False, True],
+                         ids=["read-through", "preloaded"])
+def test_warm_start_builds_no_kernel(tmp_path, app, preload):
+    """Launch records persist per configuration: a fresh app over a
+    store a storeless sweep flushed simulates every configuration,
+    launchable or not, bit-identically and without building a kernel."""
+    from repro.arch import LaunchError
+
+    def outcome(target, config):
+        try:
+            return target.simulate(config)
+        except LaunchError as error:
+            return f"LaunchError: {error}"
+
+    path = str(tmp_path / "store")
+    space = list(app.space())
+    reference = [outcome(app, config) for config in space]
+    assert any(isinstance(value, str) for value in reference)
+    app.sim_cache.flush_to_store(ResultStore(path))
+
+    fresh = MatMul().test_instance()
+    fresh.sim_cache.attach_store(ResultStore(path), write_back=False)
+    if preload:
+        fresh.sim_cache.preload_from_store()
+
+    def no_build(config):
+        raise AssertionError(f"built a kernel for {config}")
+
+    fresh.build_kernel = no_build
+    assert [outcome(fresh, config) for config in space] == reference
+    counters = fresh.sim_cache.counters()
+    assert counters["launch_hits"] == len(space)
+    assert counters["events_replayed"] == 0
+
+
 def test_kernels_load_from_the_store_instead_of_rebuilding(tmp_path, configs):
     """Built kernels persist under Application.result_key: a fresh app
     over the same store loads each one, equal to the built kernel.  A

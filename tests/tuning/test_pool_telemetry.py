@@ -44,6 +44,7 @@ COUNTER_FIELDS = (
     "blocks_replayed",
     "blocks_extrapolated",
     "events_replayed",
+    "events_skipped",
 )
 
 
@@ -85,6 +86,7 @@ class CountingApp:
             totals["blocks_replayed"] += e * 3
             totals["blocks_extrapolated"] += u
             totals["events_replayed"] += e * u * 10
+            totals["events_skipped"] += e * u * 7
             if e == 1:
                 totals["fingerprint_trace_hits"] += 1
         return totals
@@ -98,6 +100,7 @@ class CountingApp:
         self.sim_cache.add("blocks_replayed", e * 3)
         self.sim_cache.add("blocks_extrapolated", u)
         self.sim_cache.add("events_replayed", e * u * 10)
+        self.sim_cache.add("events_skipped", e * u * 7)
         if e == 1:
             self.sim_cache.add("fingerprint_trace_hits", 1)
         return 1.0 / (e + u)
@@ -174,6 +177,7 @@ class TestPooledTelemetryEquivalence:
         assert pooled_seconds == serial_seconds
         assert _counter_stats(pooled.stats) == _counter_stats(serial.stats)
         assert pooled.stats.events_replayed > 0
+        assert pooled.stats.events_skipped > 0
         assert pooled.stats.waves_simulated > 0
         # ...and again: the parent cache did none of that work.
         assert pooled_app.sim_cache.counters()["events_replayed"] == 0

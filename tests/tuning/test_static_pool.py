@@ -43,6 +43,7 @@ COMPARED_COUNTERS = (
     "blocks_extrapolated",
     "blocks_resident",
     "events_replayed",
+    "events_skipped",
 )
 
 
