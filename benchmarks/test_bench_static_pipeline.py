@@ -27,12 +27,19 @@ pure wall clock.  The *speedup ratio* is gated against
 ``baselines/static_pipeline.json`` (ratios of two in-process sweeps
 are largely machine-independent, unlike absolute seconds).
 
+A second test adds SAD (828 configurations, the paper's largest
+space): a fixed subset, every ``SAD_SUBSET_STRIDE``-th configuration,
+goes through both pipelines with the same bit-identity and Pareto
+asserts, and the full space goes through the optimized pipeline alone.
+Its seconds are recorded under ``sad`` without a gate.
+
 A micro-benchmark section also reports ``Configuration`` key-lookup
 throughput: the O(1) cached-dict ``__getitem__`` against the linear
 tuple scan it replaced (lookups dominate ``build_kernel`` argument
 plumbing across a sweep).
 
-Results are written to ``BENCH_static_pipeline.json`` at the repo root.
+Results are written to ``BENCH_static_pipeline.json`` at the repo root;
+each test updates its own keys.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import json
 import os
 import time
 
-from repro.apps import CoulombicPotential, MatMul
+from repro.apps import CoulombicPotential, MatMul, SumOfAbsoluteDifferences
 from repro.arch.occupancy import LaunchError
 from repro.metrics.model import evaluate_kernel
 from repro.ptx import analysis
@@ -54,6 +61,9 @@ HERE = os.path.dirname(__file__)
 BASELINE_PATH = os.path.join(HERE, "baselines", "static_pipeline.json")
 RESULT_PATH = os.path.join(HERE, os.pardir, "BENCH_static_pipeline.json")
 
+#: every SAD_SUBSET_STRIDE-th SAD configuration is swept by both pipelines
+SAD_SUBSET_STRIDE = 23
+
 #: the application modules that bind ``standard_cleanup`` by name
 _APP_MODULES = (
     "repro.apps.matmul",
@@ -63,15 +73,18 @@ _APP_MODULES = (
 )
 
 
-def _reference_sweep(app, monkeypatch):
+def _reference_sweep(app, monkeypatch, configs=None):
     """The pre-overhaul static stage, one configuration at a time.
 
     Restores the original drivers (PTX-string fixpoint detection,
     expansion-based region counting) and evaluates every kernel from
     scratch — no compile tier, no engine.  Kernels come from
     ``app.kernel`` so the builds match the optimized sweep's one for
-    one (see the module docstring).
+    one (see the module docstring).  ``configs`` defaults to the whole
+    space.
     """
+    if configs is None:
+        configs = list(app.space())
     times = {}
     with monkeypatch.context() as patched:
         for module in _APP_MODULES:
@@ -81,7 +94,7 @@ def _reference_sweep(app, monkeypatch):
         patched.setattr(
             analysis, "count_regions", count_regions_reference
         )
-        for config in app.space():
+        for config in configs:
             try:
                 times[config] = (evaluate_kernel(app.kernel(config)), None)
             except LaunchError as error:
@@ -89,9 +102,11 @@ def _reference_sweep(app, monkeypatch):
     return times
 
 
-def _optimized_sweep(app):
+def _optimized_sweep(app, configs=None):
+    if configs is None:
+        configs = list(app.space())
     with ExecutionEngine.for_app(app, workers=1) as engine:
-        entries = engine.evaluate_all(list(app.space()))
+        entries = engine.evaluate_all(configs)
         stats = engine.stats
     return (
         {e.config: (e.metrics, e.invalid_reason) for e in entries},
@@ -109,6 +124,19 @@ def _pareto(results):
         [(m.efficiency, m.utilization) for _, m in ordered]
     )
     return [ordered[i][0] for i in indices]
+
+
+def _record(updates):
+    """Merge ``updates`` into BENCH_static_pipeline.json."""
+    try:
+        with open(RESULT_PATH) as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError):
+        payload = {}
+    payload.update(updates)
+    with open(RESULT_PATH, "w") as handle:
+        json.dump(payload, handle, indent=1)
+        handle.write("\n")
 
 
 def _lookup_microbench(configs, repeats=2000):
@@ -184,7 +212,7 @@ def test_static_full_space_speedup_vs_baseline(monkeypatch):
     expected = baseline["full_space_static"]["speedup_vs_reference"]
     allowed_fraction = baseline["allowed_fraction"]
 
-    payload = {
+    _record({
         "benchmark": "static_pipeline",
         "space": "matmul full (96) + cp full static sweeps",
         "reference_sweep_seconds": round(reference_seconds, 3),
@@ -197,12 +225,52 @@ def test_static_full_space_speedup_vs_baseline(monkeypatch):
         "configuration_lookup": _lookup_microbench(
             list(MatMul().space())[:8]
         ),
-    }
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    })
 
     assert speedup >= allowed_fraction * expected, (
         f"static pipeline regressed: {speedup:.2f}x vs "
         f"baseline {expected}x (allowed fraction {allowed_fraction})"
     )
+
+
+def test_sad_subset_and_full_space_static_stage(monkeypatch):
+    """SAD row: subset equivalence, full-space seconds (not gated)."""
+    configs = list(SumOfAbsoluteDifferences().space())
+    subset = configs[::SAD_SUBSET_STRIDE]
+
+    started = time.perf_counter()
+    reference_results = _reference_sweep(
+        SumOfAbsoluteDifferences(), monkeypatch, subset
+    )
+    subset_reference = time.perf_counter() - started
+
+    started = time.perf_counter()
+    optimized_results, _ = _optimized_sweep(SumOfAbsoluteDifferences(), subset)
+    subset_optimized = time.perf_counter() - started
+
+    assert optimized_results == reference_results
+    assert _pareto(optimized_results) == _pareto(reference_results)
+
+    started = time.perf_counter()
+    full_results, stats = _optimized_sweep(SumOfAbsoluteDifferences(), configs)
+    full_seconds = time.perf_counter() - started
+    assert len(full_results) == len(configs)
+    for config, result in optimized_results.items():
+        assert full_results[config] == result
+
+    _record({"sad": {
+        "subset": f"space order, stride {SAD_SUBSET_STRIDE}",
+        "subset_configurations": len(subset),
+        "subset_reference_seconds": round(subset_reference, 3),
+        "subset_optimized_seconds": round(subset_optimized, 3),
+        "subset_speedup_vs_reference": round(
+            subset_reference / subset_optimized, 2
+        ),
+        "full_space_configurations": len(configs),
+        "full_space_optimized_seconds": round(full_seconds, 3),
+        "compile_tier": {
+            "compile_evaluations": stats.compile_evaluations,
+            "compile_hits": stats.compile_hits,
+            "static_evaluations": stats.static_evaluations,
+        },
+    }})

@@ -8,7 +8,12 @@ from repro.cubin.liveness import (
     max_pressure,
     pipeline_register_pressure,
 )
-from repro.cubin.regalloc import RegisterAllocation, allocate, linear_scan
+from repro.cubin.regalloc import (
+    RegisterAllocation,
+    allocate,
+    allocate_intervals,
+    linear_scan,
+)
 from repro.cubin.resources import (
     RESERVED_REGISTERS,
     SHARED_MEMORY_RUNTIME_BYTES,
@@ -26,6 +31,7 @@ __all__ = [
     "pipeline_register_pressure",
     "ResourceUsage",
     "allocate",
+    "allocate_intervals",
     "cubin_info",
     "linear_scan",
     "live_intervals",

@@ -16,11 +16,13 @@ rules:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from bisect import bisect_left
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.instructions import Instruction
+from repro.ir.instructions import Instruction, Opcode
 from repro.ir.kernel import Kernel
 from repro.ir.statements import ForLoop, If, Statement
+from repro.ir.statements import instructions as iter_instructions
 from repro.ir.types import DataType
 from repro.ir.values import VirtualRegister
 
@@ -41,27 +43,41 @@ class LiveInterval:
         return self.end - self.start + 1
 
 
-@dataclasses.dataclass
-class _Access:
-    position: int
-    is_def: bool
-
-
 class _Linearizer:
+    """Walks the tree once, numbering statements in program order.
+
+    Positions only grow during the walk, so every register's access
+    positions are recorded in ascending order.
+    """
+
     def __init__(self) -> None:
         self.position = 0
-        self.accesses: Dict[VirtualRegister, List[_Access]] = {}
+        self.positions: Dict[VirtualRegister, List[int]] = {}
+        self.def_positions: Dict[VirtualRegister, List[int]] = {}
+        #: registers whose first access is a write
+        self.written_first: Set[VirtualRegister] = set()
         self.loops: List[Tuple[int, int]] = []
         self.barrier_positions: List[int] = []
 
-    def _touch(self, register: VirtualRegister, is_def: bool) -> None:
-        self.accesses.setdefault(register, []).append(
-            _Access(self.position, is_def)
-        )
+    def _read(self, register: VirtualRegister) -> None:
+        positions = self.positions.get(register)
+        if positions is None:
+            self.positions[register] = [self.position]
+            self.def_positions[register] = []
+        else:
+            positions.append(self.position)
+
+    def _write(self, register: VirtualRegister) -> None:
+        positions = self.positions.get(register)
+        if positions is None:
+            self.positions[register] = [self.position]
+            self.def_positions[register] = [self.position]
+            self.written_first.add(register)
+        else:
+            positions.append(self.position)
+            self.def_positions[register].append(self.position)
 
     def visit_body(self, body: List[Statement]) -> None:
-        from repro.ir.instructions import Opcode
-
         for stmt in body:
             if isinstance(stmt, Instruction):
                 self.position += 1
@@ -69,29 +85,29 @@ class _Linearizer:
                     self.barrier_positions.append(self.position)
                 for value in stmt.reads:
                     if isinstance(value, VirtualRegister):
-                        self._touch(value, is_def=False)
+                        self._read(value)
                 if stmt.dest is not None:
-                    self._touch(stmt.dest, is_def=True)
+                    self._write(stmt.dest)
             elif isinstance(stmt, ForLoop):
                 self.position += 1
                 start_pos = self.position
                 # The counter is written at the header and read at the
                 # latch on every iteration.
-                self._touch(stmt.counter, is_def=True)
+                self._write(stmt.counter)
                 for bound in (stmt.start, stmt.stop, stmt.step):
                     if isinstance(bound, VirtualRegister):
-                        self._touch(bound, is_def=False)
+                        self._read(bound)
                 self.visit_body(stmt.body)
                 self.position += 1
-                self._touch(stmt.counter, is_def=False)
+                self._read(stmt.counter)
                 # Dynamic bounds are re-read by the latch test.
                 if isinstance(stmt.stop, VirtualRegister):
-                    self._touch(stmt.stop, is_def=False)
+                    self._read(stmt.stop)
                 self.loops.append((start_pos, self.position))
             elif isinstance(stmt, If):
                 self.position += 1
                 if isinstance(stmt.cond, VirtualRegister):
-                    self._touch(stmt.cond, is_def=False)
+                    self._read(stmt.cond)
                 self.visit_body(stmt.then_body)
                 self.visit_body(stmt.else_body)
 
@@ -103,7 +119,8 @@ class LivenessInfo:
     intervals: List[LiveInterval]
     loops: List[Tuple[int, int]]
     barrier_positions: List[int]
-    defs_inside_loops: Dict[VirtualRegister, List[int]]
+    #: every register's def positions, ascending
+    def_positions: Dict[VirtualRegister, List[int]]
 
 
 def analyze_liveness(kernel: Kernel, include_predicates: bool = False) -> LivenessInfo:
@@ -111,33 +128,46 @@ def analyze_liveness(kernel: Kernel, include_predicates: bool = False) -> Livene
 
     Predicate registers live in the 8800's separate predicate file and
     are excluded from the 32-bit register count unless requested.
+
+    A register's accesses are ascending, so each loop rule needs no
+    scan of them: a loop holds all of them iff it spans the first and
+    the last, and one bisection tells whether a loop that spans only
+    part of that range holds any.
     """
     linearizer = _Linearizer()
     linearizer.visit_body(kernel.body)
 
+    loops = linearizer.loops
+    def_positions = linearizer.def_positions
+    written_first = linearizer.written_first
     intervals = []
-    defs_inside: Dict[VirtualRegister, List[int]] = {}
-    for register, accesses in linearizer.accesses.items():
+    for register, positions in linearizer.positions.items():
         if register.dtype is DataType.PRED and not include_predicates:
             continue
-        start = min(a.position for a in accesses)
-        end = max(a.position for a in accesses)
-        for loop_start, loop_end in linearizer.loops:
-            inside = [a for a in accesses if loop_start <= a.position <= loop_end]
-            if not inside:
+        first = start = positions[0]
+        last = end = positions[-1]
+        # Live through a loop holding every access only if carried by
+        # it: the first access is a read and the body also writes it.
+        carried = register not in written_first and bool(def_positions[register])
+        for loop_start, loop_end in loops:
+            if loop_end < first or last < loop_start:
                 continue
-            outside = len(inside) != len(accesses)
-            carried = (not inside[0].is_def) and any(a.is_def for a in inside)
-            if outside or carried:
-                start = min(start, loop_start)
-                end = max(end, loop_end)
+            if loop_start <= first and last <= loop_end:
+                if not carried:
+                    continue
+            elif positions[bisect_left(positions, loop_start)] > loop_end:
+                # Accessed before and after the loop, never inside it.
+                continue
+            if loop_start < start:
+                start = loop_start
+            if loop_end > end:
+                end = loop_end
         intervals.append(LiveInterval(register, start, end))
-        defs_inside[register] = [a.position for a in accesses if a.is_def]
     return LivenessInfo(
         intervals=intervals,
-        loops=linearizer.loops,
+        loops=loops,
         barrier_positions=linearizer.barrier_positions,
-        defs_inside_loops=defs_inside,
+        def_positions=def_positions,
     )
 
 
@@ -146,7 +176,9 @@ def live_intervals(kernel: Kernel, include_predicates: bool = False) -> List[Liv
     return analyze_liveness(kernel, include_predicates).intervals
 
 
-def pipeline_register_pressure(kernel: Kernel, global_load_dests=None) -> int:
+def pipeline_register_pressure(
+    kernel: Kernel, liveness: Optional[LivenessInfo] = None,
+) -> int:
     """Extra registers the runtime scheduler's pipelining consumes.
 
     The paper documents that the CUDA runtime reschedules operations to
@@ -176,36 +208,41 @@ def pipeline_register_pressure(kernel: Kernel, global_load_dests=None) -> int:
     pushes it past the register file — "prefetching increased register
     usage beyond what is available, producing an invalid executable".
 
-    ``global_load_dests`` may be passed to avoid recomputing the set of
-    registers written by global loads.
+    ``liveness`` is the kernel's ``analyze_liveness`` (predicates
+    excluded), when the caller has it already; otherwise a kernel
+    without a barrier returns 0 before any analysis.
     """
-    from repro.ir.instructions import Opcode
-    from repro.ir.statements import instructions as iter_instructions
-
-    info = analyze_liveness(kernel)
+    if liveness is None:
+        if not any(
+            instr.opcode is Opcode.BAR
+            for instr in iter_instructions(kernel.body)
+        ):
+            return 0
+        liveness = analyze_liveness(kernel)
+    if not liveness.barrier_positions:
+        return 0
     straight_line_barrier_loops = []
-    for start, end in info.loops:
-        if not any(start <= b <= end for b in info.barrier_positions):
+    for start, end in liveness.loops:
+        if not any(start <= b <= end for b in liveness.barrier_positions):
             continue
         has_nested = any(
             other != (start, end) and start <= other[0] and other[1] <= end
-            for other in info.loops
+            for other in liveness.loops
         )
         if not has_nested:
             straight_line_barrier_loops.append((start, end))
     if not straight_line_barrier_loops:
         return 0
 
-    if global_load_dests is None:
-        global_load_dests = {
-            instr.dest for instr in iter_instructions(kernel.body)
-            if instr.opcode is Opcode.LD and instr.is_global_access
-            and instr.dest is not None
-        }
+    global_load_dests = {
+        instr.dest for instr in iter_instructions(kernel.body)
+        if instr.opcode is Opcode.LD and instr.is_global_access
+        and instr.dest is not None
+    }
 
     def spanning_written(interval: LiveInterval, extent) -> bool:
         loop_start, loop_end = extent
-        defs = info.defs_inside_loops.get(interval.register, [])
+        defs = liveness.def_positions.get(interval.register, [])
         written_inside = any(loop_start <= d <= loop_end for d in defs)
         return written_inside and (
             interval.start <= loop_start and interval.end >= loop_end
@@ -213,7 +250,7 @@ def pipeline_register_pressure(kernel: Kernel, global_load_dests=None) -> int:
 
     pressure = 0
     for extent in straight_line_barrier_loops:
-        spanning = [iv for iv in info.intervals if spanning_written(iv, extent)]
+        spanning = [iv for iv in liveness.intervals if spanning_written(iv, extent)]
         in_flight_loads = [
             iv for iv in spanning if iv.register in global_load_dests
         ]

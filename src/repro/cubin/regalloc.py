@@ -65,14 +65,21 @@ def allocate(
     kernel: Kernel,
     reschedule_seed: Optional[int] = None,
 ) -> RegisterAllocation:
-    """Allocate a kernel's registers.
+    """Allocate a kernel's registers (see :func:`allocate_intervals`)."""
+    return allocate_intervals(live_intervals(kernel), reschedule_seed)
+
+
+def allocate_intervals(
+    intervals: List[LiveInterval],
+    reschedule_seed: Optional[int] = None,
+) -> RegisterAllocation:
+    """Allocate registers given a kernel's live intervals.
 
     ``reschedule_seed`` models the CUDA runtime's opaque rescheduling:
     when given, interval ends are jittered by up to two positions before
     allocation, occasionally changing the register count — the paper's
     "non-uniform behavior" (Section 3.2).
     """
-    intervals = live_intervals(kernel)
     if reschedule_seed is not None:
         rng = random.Random(reschedule_seed)
         intervals = [

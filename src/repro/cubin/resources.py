@@ -13,7 +13,8 @@ from typing import Optional
 
 from repro.arch.constants import GEFORCE_8800_GTX, DeviceSpec
 from repro.arch.occupancy import LaunchError, Occupancy, blocks_per_sm
-from repro.cubin.regalloc import allocate
+from repro.cubin.liveness import analyze_liveness, pipeline_register_pressure
+from repro.cubin.regalloc import allocate_intervals
 from repro.ir.kernel import Kernel
 
 RESERVED_REGISTERS = 2
@@ -60,14 +61,14 @@ def cubin_info(kernel: Kernel, reschedule_seed: Optional[int] = None) -> Resourc
     allocation of the kernel's own virtual registers, the runtime's
     reserved registers, and one double-buffer register for every value
     the runtime's scheduler keeps in flight across a barrier (see
-    ``pipeline_double_buffered``) — the paper's Section 3.1/3.2
+    ``pipeline_register_pressure``) — the paper's Section 3.1/3.2
     observation that runtime scheduling inflates register usage beyond
-    developer control.
+    developer control.  One liveness analysis serves both the
+    allocation and the pipelining estimate.
     """
-    from repro.cubin.liveness import pipeline_register_pressure
-
-    allocation = allocate(kernel, reschedule_seed=reschedule_seed)
-    pipelined = pipeline_register_pressure(kernel)
+    liveness = analyze_liveness(kernel)
+    allocation = allocate_intervals(liveness.intervals, reschedule_seed)
+    pipelined = pipeline_register_pressure(kernel, liveness)
     return ResourceUsage(
         registers_per_thread=(
             allocation.registers_used + pipelined + RESERVED_REGISTERS

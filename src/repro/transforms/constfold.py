@@ -24,7 +24,11 @@ from repro.ir.values import (
     Value,
     VirtualRegister,
 )
-from repro.transforms.rewrite import clone_kernel, collect_defs, substitute_value
+from repro.transforms.rewrite import (
+    clone_kernel,
+    collect_loop_defs,
+    substitute_value,
+)
 
 _PURE_OPS = {op for op in Opcode if op not in (Opcode.LD, Opcode.ST, Opcode.BAR)}
 
@@ -39,7 +43,10 @@ def _is_immutable(value: Value) -> bool:
 
 class _Folder:
     def __init__(self, kernel: Kernel) -> None:
-        self.defs = collect_defs(kernel.body)
+        # Def counts, and the registers each loop body defines, from
+        # one walk of the input kernel (every loop fold_body enters is
+        # one of its loops).
+        self.defs, self.loop_defs = collect_loop_defs(kernel.body)
         # Values known to equal a register (propagation environment).
         self.env: Dict[VirtualRegister, Value] = {}
         # Defining instruction of each single-def register seen so far.
@@ -85,7 +92,7 @@ class _Folder:
                 # it if the loop body rewrites what the chain reads: a
                 # use ahead of the rewrite sees the rewritten value from
                 # the second iteration on.
-                for register in collect_defs(stmt.body):
+                for register in self.loop_defs[id(stmt)]:
                     if not self._single_def(register):
                         self._invalidate_reads_of(register)
                 result.append(ForLoop(

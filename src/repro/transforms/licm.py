@@ -8,21 +8,17 @@ operations are side-effect free in our model.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.kernel import Kernel
 from repro.ir.statements import ForLoop, If, Statement
 from repro.ir.values import VirtualRegister
-from repro.transforms.rewrite import clone_kernel, collect_defs
+from repro.transforms.rewrite import clone_kernel, collect_loop_defs
 
 _HOISTABLE = {
     op for op in Opcode if op not in (Opcode.LD, Opcode.ST, Opcode.BAR)
 }
-
-
-def _defs_in_subtree(body: List[Statement]) -> Set[VirtualRegister]:
-    return set(collect_defs(body))
 
 
 def _hoist_from(
@@ -61,20 +57,31 @@ def _hoist_from(
     return remaining
 
 
-def _process_body(body: List[Statement], kernel_defs: dict) -> List[Statement]:
+def _process_body(
+    body: List[Statement],
+    kernel_defs: dict,
+    loop_defs: Dict[int, Set[VirtualRegister]],
+) -> List[Statement]:
     result: List[Statement] = []
     for stmt in body:
         if isinstance(stmt, ForLoop):
-            inner = _process_body(stmt.body, kernel_defs)
+            inner = _process_body(stmt.body, kernel_defs, loop_defs)
             loop = ForLoop(
                 counter=stmt.counter, start=stmt.start, stop=stmt.stop,
                 step=stmt.step, body=inner, trip_count=stmt.trip_count,
                 label=stmt.label,
             )
+            # Hoisting out of nested loops keeps instructions inside
+            # this body, so it still defines what the input loop's body
+            # did.  Each instruction hoisted below is its register's
+            # only def, and _hoist_from discards that register from
+            # ``varying``: the set stays equal to the body's defs
+            # (plus the counter) across the fixpoint.
+            varying = set(loop_defs[id(stmt)])
+            varying.add(loop.counter)
             # Fixpoint: hoisting one instruction can make another
             # invariant (chains of address arithmetic).
             while True:
-                varying = _defs_in_subtree(loop.body) | {loop.counter}
                 hoisted: List[Instruction] = []
                 new_body = _hoist_from(loop.body, varying, hoisted, kernel_defs)
                 if not hoisted:
@@ -89,8 +96,8 @@ def _process_body(body: List[Statement], kernel_defs: dict) -> List[Statement]:
         elif isinstance(stmt, If):
             result.append(If(
                 cond=stmt.cond,
-                then_body=_process_body(stmt.then_body, kernel_defs),
-                else_body=_process_body(stmt.else_body, kernel_defs),
+                then_body=_process_body(stmt.then_body, kernel_defs, loop_defs),
+                else_body=_process_body(stmt.else_body, kernel_defs, loop_defs),
                 taken_fraction=stmt.taken_fraction,
             ))
         else:
@@ -107,8 +114,8 @@ def hoist_loop_invariants_changed(kernel: Kernel) -> Tuple[Kernel, bool]:
     """Like :func:`hoist_loop_invariants`, reporting whether any
     instruction moved (structural comparison — exact, and an unchanged
     kernel is returned as the same object)."""
-    kernel_defs = collect_defs(kernel.body)
-    body = _process_body(kernel.body, kernel_defs)
+    kernel_defs, loop_defs = collect_loop_defs(kernel.body)
+    body = _process_body(kernel.body, kernel_defs, loop_defs)
     if body == kernel.body:
         return kernel, False
     return clone_kernel(kernel, body=body), True

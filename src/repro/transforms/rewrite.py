@@ -8,7 +8,7 @@ never mutated, so configurations can share a baseline kernel safely.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Set
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.ir.instructions import Instruction, MemRef
 from repro.ir.kernel import Kernel
@@ -25,11 +25,16 @@ def substitute_value(value: Value, mapping: Substitution) -> Value:
 
 
 def rewrite_instruction(instr: Instruction, mapping: Substitution) -> Instruction:
-    """Clone one instruction, applying a register substitution.
+    """Apply a register substitution to one instruction.
 
     Destination registers are substituted too (unroll renames them);
     a destination mapped to a non-register is a programming error.
+    Instructions and memory operands are frozen, so one the mapping
+    does not touch is returned as is: no copy, no re-validation, and a
+    later equality check against it is an identity check.
     """
+    if not mapping:
+        return instr
     dest = instr.dest
     if dest is not None and dest in mapping:
         replacement = mapping[dest]
@@ -38,11 +43,18 @@ def rewrite_instruction(instr: Instruction, mapping: Substitution) -> Instructio
         dest = replacement
     mem = instr.mem
     if mem is not None:
-        mem = MemRef(mem.base, substitute_value(mem.index, mapping), mem.offset)
+        index = substitute_value(mem.index, mapping)
+        if index is not mem.index:
+            mem = MemRef(mem.base, index, mem.offset)
+    srcs = tuple(substitute_value(s, mapping) for s in instr.srcs)
+    if dest is instr.dest and mem is instr.mem and all(
+        new is old for new, old in zip(srcs, instr.srcs)
+    ):
+        return instr
     return Instruction(
         opcode=instr.opcode,
         dest=dest,
-        srcs=tuple(substitute_value(s, mapping) for s in instr.srcs),
+        srcs=srcs,
         mem=mem,
         cmp=instr.cmp,
         coalesced=instr.coalesced,
@@ -50,7 +62,11 @@ def rewrite_instruction(instr: Instruction, mapping: Substitution) -> Instructio
 
 
 def clone_body(body: List[Statement], mapping: Substitution = None) -> List[Statement]:
-    """Deep-copy a statement tree with an optional register substitution."""
+    """Copy a statement tree with an optional register substitution.
+
+    Loops and conditionals are mutable, so every container is fresh;
+    instructions the mapping does not touch are shared (they are frozen).
+    """
     mapping = mapping or {}
     result: List[Statement] = []
     for stmt in body:
@@ -112,6 +128,41 @@ def collect_defs(body: List[Statement]) -> Dict[VirtualRegister, int]:
 
     visit(body)
     return counts
+
+
+def collect_loop_defs(
+    body: List[Statement],
+) -> Tuple[Dict[VirtualRegister, int], Dict[int, Set[VirtualRegister]]]:
+    """Def counts of a statement tree and, in the same walk, the
+    registers each loop's body defines.
+
+    The second map is keyed by ``id(loop)``, so it is valid only while
+    ``body`` is alive and unmodified.  A nested loop's set is built
+    once and merged into each enclosing loop's set, instead of walking
+    the nested body again per enclosing level.
+    """
+    counts: Dict[VirtualRegister, int] = {}
+    loop_defs: Dict[int, Set[VirtualRegister]] = {}
+
+    def visit(statements: List[Statement], defined: Set[VirtualRegister]) -> None:
+        for stmt in statements:
+            if isinstance(stmt, Instruction):
+                if stmt.dest is not None:
+                    counts[stmt.dest] = counts.get(stmt.dest, 0) + 1
+                    defined.add(stmt.dest)
+            elif isinstance(stmt, ForLoop):
+                counts[stmt.counter] = counts.get(stmt.counter, 0) + 1
+                defined.add(stmt.counter)
+                inner: Set[VirtualRegister] = set()
+                visit(stmt.body, inner)
+                loop_defs[id(stmt)] = inner
+                defined |= inner
+            elif isinstance(stmt, If):
+                visit(stmt.then_body, defined)
+                visit(stmt.else_body, defined)
+
+    visit(body, set())
+    return counts, loop_defs
 
 
 def collect_uses(body: List[Statement]) -> Dict[VirtualRegister, int]:

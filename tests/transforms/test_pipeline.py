@@ -131,3 +131,148 @@ class TestDifferentialAgainstReference:
             assert emit_ptx(standard_cleanup(kernel)) == emit_ptx(
                 standard_cleanup_reference(kernel)
             )
+
+
+_APP_MODULES = (
+    "repro.apps.matmul",
+    "repro.apps.cp",
+    "repro.apps.mri_fhd",
+    "repro.apps.sad",
+)
+
+
+def _cleanup_inputs(monkeypatch):
+    """The kernels the four apps hand to ``standard_cleanup`` over a
+    sample of each test instance's space (the real, unsettled work)."""
+    from repro.apps import all_applications
+
+    captured = []
+
+    def recording(kernel):
+        captured.append(kernel)
+        return standard_cleanup(kernel)
+
+    with monkeypatch.context() as patched:
+        for module in _APP_MODULES:
+            patched.setattr(f"{module}.standard_cleanup", recording)
+        for app in all_applications():
+            small = app.test_instance()
+            configs = list(small.space())
+            for config in configs[::max(1, len(configs) // 8)]:
+                try:
+                    small.build_kernel(config)
+                except Exception:
+                    continue
+    return captured
+
+
+def _counted_round(counts):
+    """``pipeline._ROUND`` with every distinct pass wrapped once, so
+    the wrapped round keeps its shape and counts applications."""
+    from repro.transforms import pipeline
+
+    wrapped = {}
+    for run_pass, _ in pipeline._ROUND:
+        if run_pass not in wrapped:
+            def counting(kernel, _run=run_pass):
+                counts[0] += 1
+                return _run(kernel)
+            wrapped[run_pass] = counting
+    return tuple((wrapped[run_pass], own) for run_pass, own in pipeline._ROUND)
+
+
+def _plain_rounds(kernel, round_, max_rounds):
+    """``standard_cleanup`` before certification: whole rounds until
+    one changes nothing, at most ``max_rounds``."""
+    for _ in range(max_rounds):
+        changed = False
+        for run_pass, _ in round_:
+            kernel, pass_changed = run_pass(kernel)
+            changed = changed or pass_changed
+        if not changed:
+            break
+    return kernel
+
+
+class TestCertifiedFixpoint:
+    """``standard_cleanup`` skips passes that already certified the kernel."""
+
+    def test_applies_fewer_passes_than_plain_rounds(self, monkeypatch):
+        from repro.transforms import pipeline
+
+        inputs = _cleanup_inputs(monkeypatch)
+        assert len(inputs) >= 20
+        certified, plain = [0], [0]
+        certified_round = _counted_round(certified)
+        plain_round = _counted_round(plain)
+        strictly_fewer = 0
+        for kernel in inputs:
+            before_certified, before_plain = certified[0], plain[0]
+            with monkeypatch.context() as patched:
+                patched.setattr(pipeline, "_ROUND", certified_round)
+                settled = standard_cleanup(kernel)
+            expected = _plain_rounds(kernel, plain_round, pipeline._MAX_ROUNDS)
+            assert emit_ptx(settled) == emit_ptx(expected)
+            spent = certified[0] - before_certified
+            plain_spent = plain[0] - before_plain
+            assert spent <= plain_spent
+            strictly_fewer += spent < plain_spent
+        assert strictly_fewer >= 1
+
+    def test_app_cleanup_inputs_bit_identical_to_reference(self, monkeypatch):
+        from tests.transforms.oracles import standard_cleanup_reference
+
+        for kernel in _cleanup_inputs(monkeypatch):
+            assert emit_ptx(standard_cleanup(kernel)) == emit_ptx(
+                standard_cleanup_reference(kernel)
+            )
+
+    def test_round_bound_cuts_where_plain_rounds_do(self, monkeypatch):
+        # An unconverged kernel stops after the same pass applications.
+        from repro.transforms import pipeline
+        from tests.transforms import oracles
+
+        for max_rounds in (1, 2):
+            monkeypatch.setattr(pipeline, "_MAX_ROUNDS", max_rounds)
+            monkeypatch.setattr(oracles, "_MAX_ROUNDS", max_rounds)
+            for factor in (2, 4, COMPLETE):
+                kernel = unroll(build_tiled_matmul(), factor, label="inner")
+                settled = standard_cleanup(kernel)
+                assert emit_ptx(settled) == emit_ptx(
+                    _plain_rounds(kernel, pipeline._ROUND, max_rounds)
+                )
+                assert emit_ptx(settled) == emit_ptx(
+                    oracles.standard_cleanup_reference(kernel)
+                )
+
+    def test_changed_output_is_not_certified(self, monkeypatch):
+        # A pass that changes the kernel may change its own output
+        # again: only a pass flagged as its own fixpoint skips it.
+        from repro.transforms import pipeline
+        from repro.transforms.rewrite import clone_kernel
+
+        def drop_first(kernel):
+            if len(kernel.body) <= 3:
+                return kernel, False
+            return clone_kernel(kernel, body=kernel.body[1:]), True
+
+        def unchanged(kernel):
+            return kernel, False
+
+        kernel = unroll(build_tiled_matmul(), COMPLETE, label="inner")
+        assert len(kernel.body) > 6
+        round_ = ((drop_first, False), (unchanged, False))
+        monkeypatch.setattr(pipeline, "_ROUND", round_)
+        assert len(standard_cleanup(kernel).body) == 3
+        monkeypatch.setattr(pipeline, "_MAX_ROUNDS", 2)
+        assert len(standard_cleanup(kernel).body) == len(kernel.body) - 2
+
+    def test_dead_code_output_certifies_itself(self, monkeypatch):
+        from repro.transforms import eliminate_dead_code_changed
+
+        for kernel in _cleanup_inputs(monkeypatch):
+            for candidate in (kernel, standard_cleanup(kernel)):
+                swept, _ = eliminate_dead_code_changed(candidate)
+                again, changed = eliminate_dead_code_changed(swept)
+                assert changed is False
+                assert again is swept

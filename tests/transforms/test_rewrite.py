@@ -63,6 +63,70 @@ class TestSubstitution:
         assert rewritten.mem.offset == 3
 
 
+class TestIdentityPreservingRewrite:
+    """A rewrite that touches nothing hands back its (frozen) input."""
+
+    def _instructions(self):
+        from repro.ir import MemRef, Param
+
+        pointer = Param("x", F32, is_pointer=True)
+        a, b, c = (VirtualRegister(n, F32) for n in "abc")
+        i = VirtualRegister("i", S32)
+        return [
+            Instruction(Opcode.ADD, dest=c, srcs=(a, b)),
+            Instruction(Opcode.MOV, dest=a, srcs=(imm(1.0),)),
+            Instruction(Opcode.LD, dest=c, mem=MemRef(pointer, i, offset=3)),
+            Instruction(Opcode.ST, srcs=(c,), mem=MemRef(pointer, i)),
+            Instruction(Opcode.BAR),
+        ]
+
+    def test_empty_mapping_returns_same_object(self):
+        for instr in self._instructions():
+            assert rewrite_instruction(instr, {}) is instr
+
+    def test_mapping_naming_no_operand_returns_same_object(self):
+        unrelated = VirtualRegister("unrelated", F32)
+        mapping = {unrelated: VirtualRegister("other", F32)}
+        for instr in self._instructions():
+            assert rewrite_instruction(instr, mapping) is instr
+
+    def test_untouched_memref_is_kept(self):
+        load = self._instructions()[2]
+        a = VirtualRegister("a", F32)
+        renamed = rewrite_instruction(load, {load.dest: a})
+        assert renamed is not load
+        assert renamed.dest is a
+        assert renamed.mem is load.mem
+
+    def test_clone_body_returns_fresh_containers(self):
+        from repro.ir.statements import ForLoop, If, walk
+
+        builder = KernelBuilder("k", block_dim=Dim3(32), grid_dim=Dim3(1))
+        x = builder.param_ptr("x", F32)
+        acc = builder.mov(0.0)
+        with builder.loop(0, 4):
+            value = builder.ld(x, TID_X)
+            builder.add(acc, value, dest=acc)
+        kernel = builder.finish()
+        predicate = VirtualRegister("p", DataType.PRED)
+        body = kernel.body + [If(
+            cond=predicate, then_body=[kernel.body[0]], else_body=[],
+        )]
+        for mapping in ({}, {VirtualRegister("unrelated", F32): acc}):
+            cloned = clone_body(body, mapping)
+            assert cloned == body
+            for original, copy in zip(walk(body), walk(cloned)):
+                if isinstance(original, (ForLoop, If)):
+                    assert copy is not original
+                else:
+                    assert copy is original
+            loop = next(s for s in cloned if isinstance(s, ForLoop))
+            assert loop.body is not body[1].body
+            branch = cloned[-1]
+            assert branch.then_body is not body[-1].then_body
+            assert branch.else_body is not body[-1].else_body
+
+
 class TestCloning:
     def test_clone_is_deep(self):
         kernel = build_tiled_matmul()
@@ -107,6 +171,21 @@ class TestDefUse:
         accumulator = next(r for r, n in defs.items() if n == 2)
         assert uses[accumulator] >= 2
 
+    def test_loop_defs_match_per_loop_walks(self):
+        from repro.ir.statements import ForLoop, walk
+        from repro.transforms.rewrite import collect_loop_defs
+
+        for kernel in (
+            build_tiled_matmul(),
+            nested_loop_kernel(),
+        ):
+            counts, loop_defs = collect_loop_defs(kernel.body)
+            assert counts == collect_defs(kernel.body)
+            loops = [s for s in walk(kernel.body) if isinstance(s, ForLoop)]
+            assert sorted(loop_defs) == sorted(id(loop) for loop in loops)
+            for loop in loops:
+                assert loop_defs[id(loop)] == set(collect_defs(loop.body))
+
     def test_loop_counter_counted_as_def(self):
         builder = KernelBuilder("k", block_dim=Dim3(32), grid_dim=Dim3(1))
         with builder.loop(0, 4) as i:
@@ -127,6 +206,21 @@ class TestDefUse:
         carried = registers_read_before_write(loop.body)
         assert acc in carried
         assert temp not in carried
+
+
+def nested_loop_kernel():
+    """Two nested counted loops, the inner one with an accumulator."""
+    builder = KernelBuilder("k", block_dim=Dim3(32), grid_dim=Dim3(1))
+    x = builder.param_ptr("x", F32)
+    acc = builder.mov(0.0)
+    with builder.loop(0, 4):
+        scale = builder.mul(acc, 2.0)
+        with builder.loop(0, 3):
+            value = builder.ld(x, TID_X)
+            builder.add(acc, value, dest=acc)
+        builder.add(acc, scale, dest=acc)
+    builder.st(x, TID_X, acc)
+    return builder.finish()
 
 
 class TestFreshNames:
