@@ -162,9 +162,9 @@ class Application(abc.ABC):
     #: optional ``dataclasses.replace`` overrides applied on top of
     #: :meth:`sim_config` everywhere this application consumes it
     #: (fingerprints, compiles, traces, replays).  Set before first
-    #: use — e.g. ``{"wave_convergence_rtol": 0.05}`` switches a fresh
-    #: app instance into convergence mode; benchmarks and the
-    #: convergence test suite use this instead of subclassing.
+    #: use — e.g. ``{"simulated_waves": 8}`` samples a fresh app
+    #: instance four times deeper than the default; benchmarks and
+    #: tests use this instead of subclassing.
     sim_overrides: Optional[Dict[str, object]] = None
 
     def sim_config(self, config: Configuration) -> SimConfig:

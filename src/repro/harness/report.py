@@ -265,8 +265,7 @@ def render_report(
             sim_telemetry,
             ["application", "resource_hits", "trace_hits", "sm_hits",
              "compile_hits", "compile_evals",
-             "waves_simulated", "blocks_replayed", "blocks_extrapolated",
-             "extrapolated_ratio", "events_replayed"],
+             "waves_simulated", "blocks_replayed", "events_replayed"],
         ))
         write("\n```\n\n")
 

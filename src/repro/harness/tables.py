@@ -132,17 +132,6 @@ def simulator_rows(experiments: Sequence[AppExperiment]) -> List[Dict]:
             "compile_evals": stats.compile_evaluations,
             "waves_simulated": stats.waves_simulated,
             "blocks_replayed": stats.blocks_replayed,
-            "blocks_extrapolated": stats.blocks_extrapolated,
-            # The display-only extrapolation ratio: share of blocks
-            # whose time came from convergence rather than replay.
-            # Derived here from the integer counters (which merge
-            # exactly across configs and workers; a per-SM fraction
-            # would not).
-            "extrapolated_ratio": round(
-                stats.blocks_extrapolated
-                / (stats.blocks_replayed + stats.blocks_extrapolated),
-                4,
-            ) if (stats.blocks_replayed or stats.blocks_extrapolated) else 0.0,
             "events_replayed": stats.events_replayed,
         })
     return rows

@@ -75,7 +75,7 @@ def _add_request_options(parser: argparse.ArgumentParser) -> None:
                         help="pareto+cluster: metric clustering tolerance")
     parser.add_argument("--sim-overrides", default=None, metavar="JSON",
                         help="SimConfig overrides as a JSON object, e.g. "
-                             "'{\"wave_convergence_rtol\": 0.05}'")
+                             "'{\"simulated_waves\": 8}'")
     parser.add_argument("--chunk-size", type=int, default=None,
                         help="timing chunk size (progress/cancel "
                              "granularity; identical results regardless)")

@@ -50,6 +50,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -77,6 +78,7 @@ from repro.service.registry import (
     SweepCancelled,
     SweepJob,
 )
+from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.store import DecodedCache
 from repro.tuning.engine import (
     EngineStats,
@@ -204,9 +206,7 @@ def parse_sweep_request(
             f"{sorted(apps_by_name)}"
         )
     app = apps_by_name[app_name]
-    overrides = payload.get("sim_overrides") or {}
-    if not isinstance(overrides, dict):
-        raise RequestError("sim_overrides must be an object")
+    overrides = _parse_sim_overrides(payload.get("sim_overrides") or {})
     space = app.space()
     configs = _resolve_configs(payload, space)
     try:
@@ -228,12 +228,51 @@ def parse_sweep_request(
         app_name=app_name,
         strategy=strategy,
         configs=configs,
-        sim_overrides=dict(overrides),
+        sim_overrides=overrides,
         select_kwargs=select_kwargs,
         chunk_size=chunk_size,
         echo=echo,
         kind=spec.kind,
     )
+
+
+_SIM_FIELDS = {field.name for field in dataclasses.fields(SimConfig)}
+
+
+def _parse_sim_overrides(overrides: Any) -> Dict[str, Any]:
+    """Check ``sim_overrides`` against :class:`SimConfig` up front, so
+    a bad one is a 400 instead of a failed sweep on a fresh runtime.
+
+    Each value must have its field default's type (an integer is
+    accepted for a float field and stored as a float, so ``4`` and
+    ``4.0`` route to the same runtime), and the overridden config must
+    pass ``SimConfig``'s own range checks.
+    """
+    if not isinstance(overrides, dict):
+        raise RequestError("sim_overrides must be an object")
+    parsed: Dict[str, Any] = {}
+    for name, value in overrides.items():
+        if name not in _SIM_FIELDS:
+            raise RequestError(
+                f"unknown sim_overrides field {name!r}; expected one of "
+                f"{sorted(_SIM_FIELDS)}"
+            )
+        default = getattr(DEFAULT_SIM_CONFIG, name)
+        if isinstance(default, float) and is_integer(value):
+            value = float(value)
+        if type(value) is not type(default) or (
+            isinstance(value, float) and not math.isfinite(value)
+        ):
+            raise RequestError(
+                f"sim_overrides.{name} must be a finite "
+                f"{type(default).__name__}, got {value!r}"
+            )
+        parsed[name] = value
+    try:
+        dataclasses.replace(DEFAULT_SIM_CONFIG, **parsed)
+    except ValueError as error:
+        raise RequestError(f"sim_overrides: {error}") from None
+    return parsed
 
 
 def _resolve_configs(payload: Dict[str, Any], space) -> List[Configuration]:

@@ -64,33 +64,22 @@ class SimConfig:
     # steady-state throughput to the whole grid.
     simulated_waves: int = 2
 
-    # Relative tolerance for steady-state wave convergence: when the
-    # measured cycles-per-block of a wave matches the analytic
-    # steady-state roofline, or two successive waves agree (with a
-    # stable DRAM backlog), the simulator stops refilling block slots
-    # and extrapolates the remaining blocks at the converged rate.
-    # 0.0 (the default) disables extrapolation — exact mode, used for
-    # all paper figures, where ``simulated_waves`` caps sampling.
-    wave_convergence_rtol: float = 0.0
-
-    # Sampling depth in convergence mode: up to this many waves are
-    # simulated while waiting for convergence (instead of the
-    # ``simulated_waves`` cap, which would leave nothing to
-    # extrapolate).  A space that never converges simply replays this
-    # many waves exactly.
-    convergence_max_waves: int = 8
-
     def __post_init__(self) -> None:
+        if self.issue_cycles_per_instruction < 1:
+            raise ValueError("issue_cycles_per_instruction must be >= 1")
+        if self.bandwidth_burst_factor <= 0.0:
+            raise ValueError("bandwidth_burst_factor must be > 0")
+        for name in ("sfu_cycles_per_instruction", "sfu_result_latency",
+                     "uncoalesced_traffic_factor", "burst_window_bytes",
+                     "texture_latency_cycles"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.constant_conflict_ways < 1:
             raise ValueError("constant_conflict_ways must be >= 1")
         if self.shared_bank_conflict_ways < 1:
             raise ValueError("shared_bank_conflict_ways must be >= 1")
         if self.simulated_waves < 1:
             raise ValueError("simulated_waves must be >= 1")
-        if self.wave_convergence_rtol < 0.0:
-            raise ValueError("wave_convergence_rtol must be >= 0")
-        if self.convergence_max_waves < 1:
-            raise ValueError("convergence_max_waves must be >= 1")
 
     @property
     def global_latency_cycles(self) -> int:

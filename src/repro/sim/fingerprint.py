@@ -208,7 +208,8 @@ SIM_COUNTERS = {
     "compile_evaluations": 0,        # full static compiles performed
     "waves_simulated": 0,            # full SM waves actually replayed
     "blocks_replayed": 0,            # blocks through the event loop
-    "blocks_extrapolated": 0,        # blocks projected after convergence
+    # always 0 since replay became exact-only; perfbench still reads it
+    "blocks_extrapolated": 0,
     "blocks_resident": 0,            # sum of per-replay residencies
     "events_replayed": 0,            # dynamic trace events replayed
     "events_skipped": 0,             # ... of which recurrence jumps covered
@@ -525,7 +526,6 @@ class SimulationCache:
         counts = self.counts
         counts.incr("waves_simulated", result.waves_simulated)
         counts.incr("blocks_replayed", result.blocks_replayed)
-        counts.incr("blocks_extrapolated", result.blocks_extrapolated)
         counts.incr("blocks_resident", result.blocks_resident)
         counts.incr("events_replayed", result.events_replayed)
         counts.incr("events_skipped", result.events_skipped)

@@ -44,22 +44,6 @@ class SimulationResult:
         return self.seconds * 1e3
 
 
-def _wave_budget(config: SimConfig) -> int:
-    """How many waves' worth of blocks to hand the SM replayer.
-
-    Exact mode samples ``simulated_waves`` residencies and scales.  In
-    convergence mode the budget deepens to ``convergence_max_waves``:
-    the replayer stops at the wave where steady state is established
-    and extrapolates the rest, so the deeper budget costs nothing once
-    convergence fires — and the old two-wave cap is precisely why the
-    PR-2 convergence predicate never triggered (the check coincided
-    with the final sampled block, leaving zero blocks to extrapolate).
-    """
-    if config.wave_convergence_rtol > 0.0:
-        return max(config.simulated_waves, config.convergence_max_waves)
-    return config.simulated_waves
-
-
 def simulate_kernel(
     kernel: Union[Kernel, Callable[[], Kernel]],
     config: SimConfig = DEFAULT_SIM_CONFIG,
@@ -124,7 +108,7 @@ def simulate_kernel(
     blocks_per_sm_total = math.ceil(launch.num_blocks / config.device.num_sms)
     blocks_to_sample = min(
         blocks_per_sm_total,
-        occupancy.blocks_per_sm * _wave_budget(config),
+        occupancy.blocks_per_sm * config.simulated_waves,
     )
     sm_result = None
     if fingerprint is not None:

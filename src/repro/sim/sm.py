@@ -43,39 +43,9 @@ test pins the equivalence):
   so the shifted sums are exact and the jump is bit-identical; a
   trace or config that breaks that premise replays event by event.
 
-Wave convergence
-----------------
-
-When ``SimConfig.wave_convergence_rtol`` is positive, the simulator
-watches the cycles-per-block of successive *waves* (one refill
-generation of resident blocks) and stops refilling once steady state
-is established, extrapolating the remaining blocks at the converged
-rate.  Two predicates can establish it, whichever fires first:
-
-* **analytic** — the measured wave rate matches the steady-state
-  roofline ``max(issue_bound, bw_bound)`` within the tolerance, where
-  ``issue_bound = warps_per_block * port_cycles`` (every warp's port
-  time serialized through the single issue port) and ``bw_bound =
-  warps_per_block * dram_bytes / sustained_share`` (the block's DRAM
-  traffic at the SM's long-run share of the interface).  A kernel
-  whose wave rate sits on either roof is saturated: the port cannot go
-  faster, and a bandwidth demand above the sustained share would have
-  pushed the measured rate *off* the roof, so the match itself proves
-  the burst-window transient is over.  Saturated kernels converge
-  after a single wave;
-* **wave agreement** — two successive waves agree within the tolerance
-  *and* the DRAM sustained-budget backlog is stable (while the burst
-  window drains, early waves replay identically at the burst rate even
-  though the long-run rate is the slower fair share — matching
-  cycles-per-block alone would converge to the transient rate).
-
-The default (0.0) disables both: paper figures are produced in exact
-mode, and ``simulated_waves`` caps sampling at two waves.  In
-convergence mode :func:`repro.sim.gpu.simulate_kernel` deepens the
-sample target to ``convergence_max_waves`` so convergence has blocks
-left to extrapolate — the PR-2 predicate never fired in practice
-because the two-wave cap made the convergence check coincide with the
-final sampled block.
+Replay is exact: every sampled block runs to completion through the
+event loop or a bit-identical jump, and a block that cannot finish
+raises :class:`SimulationDeadlock`.
 """
 
 from __future__ import annotations
@@ -133,12 +103,7 @@ class CompiledTrace:
 
     ``events`` is the flat per-warp event list (one entry per dynamic
     event — segment repeats share the same tuple objects, so memory
-    stays O(static) plus one pointer per dynamic event).  The
-    aggregates feed the analytic convergence bound:
-
-    * ``port_cycles`` — total issue-port cycles one warp consumes
-      (integer; COMPUTE durations already include the issue cost);
-    * ``dram_bytes`` — one warp's total DRAM traffic in bytes.
+    stays O(static) plus one pointer per dynamic event).
 
     ``loops`` lists the flat ``(start, end, period_len)`` range of every
     program record repeated more than twice — the ranges a replay may
@@ -147,15 +112,12 @@ class CompiledTrace:
     the jump's exactness argument needs every time to be one.
     """
 
-    __slots__ = ("events", "n", "port_cycles", "dram_bytes", "loops")
+    __slots__ = ("events", "n", "loops")
 
-    def __init__(self, events: List[Tuple], port_cycles: int,
-                 dram_bytes: float,
+    def __init__(self, events: List[Tuple],
                  loops: Tuple[Tuple[int, int, int], ...]) -> None:
         self.events = events
         self.n = len(events)
-        self.port_cycles = port_cycles
-        self.dram_bytes = dram_bytes
         self.loops = loops
 
 
@@ -175,8 +137,6 @@ def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
     burst_rate = share * config.bandwidth_burst_factor
 
     compiled_segments: List[List[Tuple]] = []
-    port_cycles = 0
-    dram_bytes = 0.0
     for segment in trace.segments:
         out: List[Tuple] = []
         for event in segment:
@@ -221,18 +181,6 @@ def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
             events.extend(segment * repeat)
             if repeat > 2 and segment:
                 loops.append((start, len(events), len(segment)))
-    for event in events:
-        opcode = event[0]
-        if opcode == _C_COMPUTE:
-            port_cycles += event[1]
-        elif opcode == _C_LOAD:
-            port_cycles += issue_cost
-            dram_bytes += event[2]
-        elif opcode == _C_STORE:
-            port_cycles += issue_cost
-            dram_bytes += event[1]
-        elif opcode == _C_SFU or opcode == _C_TEXLOAD:
-            port_cycles += issue_cost
     constants = [issue_cost, config.sfu_cycles_per_instruction,
                  config.sfu_result_latency,
                  config.burst_window_bytes / share]
@@ -241,7 +189,7 @@ def compile_trace(trace: WarpTrace, config: SimConfig) -> CompiledTrace:
             constants.extend(event[1:])
     if not _dyadic(constants):
         loops = []
-    return CompiledTrace(events, port_cycles, dram_bytes, tuple(loops))
+    return CompiledTrace(events, tuple(loops))
 
 
 class _Warp:
@@ -409,35 +357,20 @@ class SMResult:
     dram_busy_cycles: float
     #: Telemetry: full refill generations observed by the event loop
     #: and the integer block counts behind them.  ``blocks_replayed``
-    #: went through the event loop; ``blocks_extrapolated`` were
-    #: projected analytically after wave convergence (0 in exact
-    #: mode); ``blocks_resident`` is the residency the waves ran at.
-    #: All integers, so they merge exactly across configurations and
-    #: pool workers — the old float wave *fraction* did not.
+    #: went through the event loop; ``blocks_resident`` is the
+    #: residency the waves ran at.  All integers, so they merge exactly
+    #: across configurations and pool workers.
     waves_simulated: int = 0
     blocks_replayed: int = 0
-    blocks_extrapolated: int = 0
     blocks_resident: int = 0
     events_replayed: int = 0
     #: the part of ``events_replayed`` a recurrence jump covered
     #: instead of the event loop (see :class:`_Recurrence`)
     events_skipped: int = 0
-    #: Convergence evidence: the wave at which steady state was
-    #: established (0 = never), and which predicate fired
-    #: ("analytic" / "wave" / "").
-    converged_wave: int = 0
-    converged_mode: str = ""
 
     @property
     def cycles_per_block(self) -> float:
         return self.cycles / self.blocks_completed
-
-    @property
-    def waves_extrapolated(self) -> float:
-        """Derived wave fraction (report tables only — never merged)."""
-        if not self.blocks_resident:
-            return 0.0
-        return self.blocks_extrapolated / self.blocks_resident
 
     @property
     def issue_utilization(self) -> float:
@@ -474,43 +407,34 @@ def simulate_sm(
     span_started = tracer.now() if tracer is not None else 0.0
 
     (cycles, finished_blocks, issue_busy, mem_total_bytes, mem_busy,
-     extrapolated_blocks, converged_wave, converged_mode,
      events_skipped) = _replay(
         compiled, warps_per_block, blocks_resident, total_blocks, config)
 
     events_replayed = compiled.n * warps_per_block * finished_blocks
+    waves_simulated = (finished_blocks // blocks_resident
+                       if blocks_resident else 0)
     if tracer is not None:
-        if converged_wave:
-            tracer.instant(
-                "sm.wave_converged", cat="sim",
-                args={"wave": converged_wave, "mode": converged_mode},
-            )
         tracer.complete_event(
             "sm.replay", span_started, cat="sim",
             args={
                 "blocks": total_blocks,
-                "waves_simulated": (finished_blocks // blocks_resident
-                                    if blocks_resident else 0),
+                "waves_simulated": waves_simulated,
                 "blocks_replayed": finished_blocks,
-                "blocks_extrapolated": extrapolated_blocks,
                 "events_replayed": events_replayed,
                 "events_skipped": events_skipped,
             },
         )
     return SMResult(
         cycles=cycles,
-        blocks_completed=finished_blocks + extrapolated_blocks,
+        blocks_completed=finished_blocks,
         issue_busy_cycles=issue_busy,
         dram_bytes=mem_total_bytes,
         dram_busy_cycles=mem_busy,
-        waves_simulated=finished_blocks // blocks_resident if blocks_resident else 0,
+        waves_simulated=waves_simulated,
         blocks_replayed=finished_blocks,
-        blocks_extrapolated=extrapolated_blocks,
         blocks_resident=blocks_resident,
         events_replayed=events_replayed,
         events_skipped=events_skipped,
-        converged_wave=converged_wave,
-        converged_mode=converged_mode,
     )
 
 
@@ -520,12 +444,11 @@ def _replay(
     blocks_resident: int,
     total_blocks: int,
     config: SimConfig,
-) -> Tuple[float, int, float, float, float, int, int, str, int]:
-    """The flat-event interpreter (the default replay engine).
+) -> Tuple[float, int, float, float, float, int]:
+    """The flat-event interpreter.
 
     Returns ``(cycles, blocks_replayed, issue_busy, dram_bytes,
-    dram_busy, blocks_extrapolated, converged_wave, converged_mode,
-    events_skipped)``.
+    dram_busy, events_skipped)``.
     """
     events = compiled.events
     n = compiled.n
@@ -533,7 +456,6 @@ def _replay(
     issue_cost = config.issue_cycles_per_instruction
     sfu_cost = config.sfu_cycles_per_instruction
     sfu_latency = config.sfu_result_latency
-    rtol = config.wave_convergence_rtol
 
     # DRAM token bucket, inlined (MemorySystem.request verbatim).
     share = config.bandwidth_bytes_per_cycle_per_sm
@@ -569,29 +491,6 @@ def _replay(
     finished_blocks = 0
     blocks_started = blocks_resident
     finish_time = 0.0
-
-    # Wave-convergence state (inactive in exact mode).  The analytic
-    # steady-state roofline is per *block*: every warp's port cycles
-    # serialized through the single issue port, against the block's
-    # DRAM traffic at the sustained share.
-    converged = False
-    converged_wave = 0
-    converged_mode = ""
-    steady_cpb = 0.0
-    if rtol > 0.0:
-        issue_bound = float(warps_per_block * compiled.port_cycles)
-        bw_bound = warps_per_block * compiled.dram_bytes / share
-        steady_cpb = issue_bound if issue_bound > bw_bound else bw_bound
-    prev_cpb = -1.0
-    prev_backlog = -1.0
-    last_cpb = 0.0
-    wave_prev_finish = 0.0
-    wave_prev_issue = 0.0
-    wave_prev_busy = 0.0
-    wave_prev_bytes = 0.0
-    wave_issue_pb = 0.0
-    wave_busy_pb = 0.0
-    wave_bytes_pb = 0.0
 
     # Current-warp state in locals; ``warp is None`` means "pop next".
     warp: Optional[_Warp] = None
@@ -631,43 +530,7 @@ def _replay(
                 recurrence.reset()
                 if block.finish_time > finish_time:
                     finish_time = block.finish_time
-                if (rtol > 0.0 and not converged
-                        and finished_blocks % blocks_resident == 0):
-                    cpb = (finish_time - wave_prev_finish) / blocks_resident
-                    wave_issue_pb = (issue_busy - wave_prev_issue) / blocks_resident
-                    wave_busy_pb = (mem_busy - wave_prev_busy) / blocks_resident
-                    wave_bytes_pb = (mem_total_bytes - wave_prev_bytes) / blocks_resident
-                    backlog = mem_sustained_end - finish_time
-                    if backlog < 0.0:
-                        backlog = 0.0
-                    # Analytic roofline match: a wave rate sitting on
-                    # max(issue, bandwidth) is saturated — the port
-                    # cannot go faster, and unserved DRAM backlog
-                    # would have pushed the rate off the roof — so the
-                    # match itself rules out the burst transient.
-                    if abs(cpb - steady_cpb) <= rtol * cpb:
-                        converged = True
-                        converged_mode = "analytic"
-                    # Wave agreement needs the backlog-stability guard:
-                    # while the burst window drains, early waves replay
-                    # identically at the burst rate even though the
-                    # long-run rate is the (slower) fair share.
-                    elif (prev_cpb >= 0.0
-                            and abs(cpb - prev_cpb) <= rtol * cpb
-                            and abs(backlog - prev_backlog)
-                            <= rtol * cpb * blocks_resident):
-                        converged = True
-                        converged_mode = "wave"
-                    if converged:
-                        last_cpb = cpb
-                        converged_wave = finished_blocks // blocks_resident
-                    prev_cpb = cpb
-                    prev_backlog = backlog
-                    wave_prev_finish = finish_time
-                    wave_prev_issue = issue_busy
-                    wave_prev_busy = mem_busy
-                    wave_prev_bytes = mem_total_bytes
-                if blocks_started < total_blocks and not converged:
+                if blocks_started < total_blocks:
                     blocks_started += 1
                     restart = block.finish_time
                     block.done_count = 0
@@ -781,8 +644,7 @@ def _replay(
             warp = None
         continue
 
-    extrapolated_blocks = total_blocks - finished_blocks
-    if extrapolated_blocks and not converged:
+    if finished_blocks < total_blocks:
         raise SimulationDeadlock(
             f"completed {finished_blocks}/{total_blocks} blocks"
         )
@@ -793,11 +655,5 @@ def _replay(
         cycles = port_free
     if mem_burst_free > cycles:
         cycles = mem_burst_free
-    if extrapolated_blocks:
-        cycles += extrapolated_blocks * last_cpb
-        issue_busy += extrapolated_blocks * wave_issue_pb
-        mem_busy += extrapolated_blocks * wave_busy_pb
-        mem_total_bytes += extrapolated_blocks * wave_bytes_pb
     return (cycles, finished_blocks, issue_busy, mem_total_bytes, mem_busy,
-            extrapolated_blocks, converged_wave, converged_mode,
             recurrence.skipped)

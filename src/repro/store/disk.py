@@ -99,12 +99,13 @@ logger = logging.getLogger(__name__)
 
 #: bump when the entry encoding (header or pickle schema) changes;
 #: entries written by another schema are dropped and recomputed.
-#: v2: SMResult grew integer block counters (blocks_replayed /
-#: blocks_extrapolated / blocks_resident) replacing the float wave
+#: v2: SMResult grew integer block counters replacing the float wave
 #: fraction, so v1 sm-tier pickles no longer match the dataclass.
 #: v3: SMResult grew ``events_skipped`` (the events a recurrence jump
 #: covered); v2 sm-tier entries predate it and are replayed again.
-SCHEMA_VERSION = 3
+#: v4: SMResult lost its wave-convergence fields when replay became
+#: exact-only; v3 sm-tier entries are replayed again.
+SCHEMA_VERSION = 4
 MAGIC = "repro-store"
 
 #: artifact families the store persists, one directory each

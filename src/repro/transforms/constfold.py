@@ -27,6 +27,7 @@ from repro.ir.values import (
 from repro.transforms.rewrite import (
     clone_kernel,
     collect_loop_defs,
+    collect_uses,
     substitute_value,
 )
 
@@ -46,7 +47,10 @@ class _Folder:
         # Def counts, and the registers each loop body defines, from
         # one walk of the input kernel (every loop fold_body enters is
         # one of its loops).
+        self.body = kernel.body
         self.defs, self.loop_defs = collect_loop_defs(kernel.body)
+        # Read counts over the whole input kernel, built on first need.
+        self.uses: Optional[Dict[VirtualRegister, int]] = None
         # Values known to equal a register (propagation environment).
         self.env: Dict[VirtualRegister, Value] = {}
         # Defining instruction of each single-def register seen so far.
@@ -67,13 +71,23 @@ class _Folder:
         recorded inside a loop body describe one iteration's values;
         they must not leak to code after the loop (where the counter
         and loop-carried registers hold different values).  The same
-        conservatism is applied to conditional bodies.
+        conservatism is applied to conditional bodies.  A dropped copy
+        whose destination is read outside the body is re-emitted at
+        the body's end, where it still holds.
         """
         env_before = set(self.env)
         defs_before = set(self.def_instr)
         folded = self.fold_body(body)
-        for key in list(self.env):
-            if key not in env_before and isinstance(self.env[key], VirtualRegister):
+        dropped = [key for key in self.env if key not in env_before
+                   and isinstance(self.env[key], VirtualRegister)]
+        if dropped:
+            if self.uses is None:
+                self.uses = collect_uses(self.body)
+            inside = collect_uses(body)
+            for key in dropped:
+                if self.uses.get(key, 0) > inside.get(key, 0):
+                    folded.append(Instruction(
+                        Opcode.MOV, dest=key, srcs=(self.env[key],)))
                 del self.env[key]
         for key in list(self.def_instr):
             if key not in defs_before:

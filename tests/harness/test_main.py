@@ -70,13 +70,14 @@ class TestMain:
         assert "checkpoint" not in err
         assert not output.exists()
 
-    def test_trace_flag_writes_chrome_trace(self, tmp_path, capsys):
+    def _traced_run(self, tmp_path, capsys, workers):
+        """A traced cp run: a well-formed Chrome trace, the tracer
+        switched back off, and the per-stage table in the report.
+        Returns the set of span names."""
         output = tmp_path / "report.md"
         trace = tmp_path / "trace.json"
-        # Serial: pool workers' spans are not collected in this process,
-        # so under REPRO_WORKERS>1 the SM replays would leave no span.
         code = main(["prog", str(output), "--apps", "cp", "--no-random",
-                     "--workers", "1", "--trace", str(trace)])
+                     "--workers", str(workers), "--trace", str(trace)])
         assert code == 0
         # the tracer is global state; main() must turn it back off
         from repro.obs import tracing_enabled
@@ -92,10 +93,19 @@ class TestMain:
         names = {event["name"] for event in events}
         assert "harness.experiment" in names
         assert "engine.simulate_batch" in names
-        assert "sm.replay" in names
         # the report gains the per-stage breakdown table
         assert "Per-stage timing" in output.read_text()
         assert str(trace) in capsys.readouterr().out
+        return names
+
+    def test_trace_flag_writes_chrome_trace(self, tmp_path, capsys):
+        names = self._traced_run(tmp_path, capsys, workers=1)
+        assert "sm.replay" in names
+
+    def test_pooled_trace_flag_writes_chrome_trace(self, tmp_path, capsys):
+        # Pool workers' spans are not collected in this process yet, so
+        # the SM replays they run leave no span here.
+        self._traced_run(tmp_path, capsys, workers=2)
 
     def test_profile_flag_dumps_pstats(self, tmp_path, capsys):
         import pstats

@@ -126,7 +126,7 @@ class TestChromeExport:
                          args={"requested": 2}):
             with tracer.span("sm.replay", cat="sim", args={"blocks": 4}):
                 pass
-        tracer.instant("sm.wave_converged", cat="sim", args={"wave": 3})
+        tracer.instant("sim.marker", cat="sim", args={"wave": 3})
 
         path = str(tmp_path / "trace.json")
         tracer.export(path)

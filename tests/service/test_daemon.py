@@ -257,7 +257,7 @@ def test_sim_overrides_run_on_a_separate_runtime(fake_app_class,
     daemon.client.sweep({"app": "fake", "strategy": "exhaustive"})
     payload = daemon.client.sweep({
         "app": "fake", "strategy": "exhaustive",
-        "sim_overrides": {"knob": 1},
+        "sim_overrides": {"simulated_waves": 3},
     })
     # A distinct runtime: the override sweep re-simulated everything
     # on its own engine instead of poisoning the base runtime's caches.
@@ -265,6 +265,43 @@ def test_sim_overrides_run_on_a_separate_runtime(fake_app_class,
     health = daemon.client.healthz()
     assert len(health["runtimes"]) == 2
     assert any(key.startswith("fake@") for key in health["runtimes"])
+
+
+@pytest.mark.parametrize("overrides, needle", [
+    ({"no_such_field": 1}, "no_such_field"),
+    ({"simulated_waves": 0}, "simulated_waves"),
+    ({"simulated_waves": 2.5}, "simulated_waves"),
+    ({"simulated_waves": True}, "simulated_waves"),
+    ({"bandwidth_burst_factor": "4"}, "bandwidth_burst_factor"),
+    ({"bandwidth_burst_factor": 0}, "bandwidth_burst_factor"),
+    ({"device": {"num_sms": 8}}, "device"),
+    ([["simulated_waves", 3]], "sim_overrides"),
+], ids=["unknown-field", "zero-waves", "float-for-int",
+        "bool-for-int", "string-for-float", "zero-burst", "device-dict",
+        "not-an-object"])
+def test_bad_sim_overrides_are_counted_400s(fake_app_class, service_factory,
+                                            overrides, needle):
+    """A bad override is rejected at parse time: it never becomes a
+    failed sweep, and it leaves no resident runtime behind."""
+    daemon = service_factory([fake_app_class()])
+    runtimes = daemon.client.healthz()["runtimes"]
+    with pytest.raises(ServiceError) as caught:
+        daemon.client.submit({"app": "fake", "strategy": "exhaustive",
+                              "sim_overrides": overrides})
+    assert caught.value.status == 400
+    assert needle in caught.value.message
+    assert daemon.service.counters["requests_rejected"] == 1
+    assert daemon.service.counters["sweeps_submitted"] == 0
+    assert daemon.client.healthz()["runtimes"] == runtimes
+
+
+def test_int_sim_override_for_a_float_field_is_stored_as_float(
+        fake_app_class):
+    request = parse_sweep_request(
+        {"app": "fake", "sim_overrides": {"bandwidth_burst_factor": 2}},
+        {"fake": fake_app_class()})
+    assert request.sim_overrides == {"bandwidth_burst_factor": 2.0}
+    assert type(request.sim_overrides["bandwidth_burst_factor"]) is float
 
 
 def test_parse_sweep_request_rejects_non_object(fake_app_class):

@@ -12,8 +12,8 @@ Two pre-optimization implementations, kept simple on purpose:
 It exists as the *oracle* for differential testing: the optimized
 replay in :mod:`repro.sim.sm` (locals-bound hot loop, FIFO/heap
 scheduler split, inlined memory arithmetic, loop-compressed segment
-walking, steady-state wave extrapolation) must agree with this loop —
-bit-for-bit in exact mode — on any well-formed trace.  See
+walking, recurrence jumps) must agree with this loop bit-for-bit on
+any well-formed trace.  See
 ``tests/sim/test_differential.py``, the timed reference pipeline of
 ``benchmarks/test_bench_sim_hotpath.py``, and docs/simulator.md.
 """
@@ -166,9 +166,7 @@ def simulate_sm_reference(
 ) -> SMResult:
     """Replay ``total_blocks`` copies of a block's warps on one SM.
 
-    Semantics identical to :func:`repro.sim.sm.simulate_sm` in exact
-    mode (``wave_convergence_rtol == 0``); the convergence knob is not
-    implemented here — the reference always replays every block.
+    Semantics identical to :func:`repro.sim.sm.simulate_sm`.
     """
     if total_blocks < blocks_resident:
         blocks_resident = total_blocks

@@ -132,28 +132,12 @@ class TestBatchAgainstSequential:
         assert len(group) > 1
         self._check_app(make_app, group)
 
-    def test_convergence_mode_batch_identical_too(self):
-        """Grouping is invisible in convergence mode as well.  The
-        full-size problem: the test instance's grids are too small
-        for any wave to converge."""
-        def make_app():
-            app = MriFhd()
-            app.sim_overrides = {"wave_convergence_rtol": 0.05}
-            return app
-
-        group = [c for c in make_app().space()
-                 if (c["block"], c["unroll"]) == (64, 1)]
-        counters = self._check_app(make_app, group)
-        assert counters["blocks_extrapolated"] > 0
-
-
 #: SM-replay telemetry that must not depend on grouping or workers
 #: (engine.stats sums in-process counters with pool-worker deltas —
 #: the surface tests/tuning/test_pool_telemetry.py pins).
 SM_COUNTERS = (
     "waves_simulated",
     "blocks_replayed",
-    "blocks_extrapolated",
     "blocks_resident",
     "events_replayed",
     "events_skipped",

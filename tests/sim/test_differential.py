@@ -2,13 +2,10 @@
 
 The optimized engine (:mod:`repro.sim.sm`) earns its speed from a
 stack of rewrites — loop-compressed segment walking, a FIFO/heap
-scheduler split, inlined DRAM arithmetic, steady-state wave
-extrapolation.  Each rewrite preserved semantics by construction;
+scheduler split, inlined DRAM arithmetic, recurrence jumps.  Each rewrite preserved semantics by construction;
 these tests enforce it empirically against the deliberately simple
 :func:`~tests.sim.oracles.simulate_sm_reference` oracle.
 """
-
-import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,45 +161,3 @@ class TestAppKernels:
         app = MriFhd().test_instance()
         configs = [c for c in app.space()][::11][:6]
         self._check(app, configs)
-
-
-class TestWaveConvergence:
-    def _long_trace(self):
-        events = [
-            (LOAD, 0, (256.0, 250.0)),
-            (COMPUTE, 12, 0),
-            (USE, 0, 0),
-            (BARRIER, 0, 0),
-            (COMPUTE, 8, 0),
-            (STORE, 0, 128.0),
-        ]
-        return trace_from(events)
-
-    def test_convergence_matches_exact_within_tolerance(self):
-        """Extrapolated long runs stay within 0.5% of the exact replay.
-
-        The trace is bandwidth-involved, so convergence must wait out
-        the DRAM burst-window transient (the backlog-stability half of
-        the predicate); the converged rate then matches the sustained
-        steady state and extrapolation is essentially exact.
-        """
-        trace = self._long_trace()
-        kwargs = dict(warps_per_block=4, blocks_resident=2, total_blocks=100)
-        exact = simulate_sm(trace, config=DEFAULT_SIM_CONFIG, **kwargs)
-        converged_config = dataclasses.replace(
-            DEFAULT_SIM_CONFIG, wave_convergence_rtol=1e-6
-        )
-        approx = simulate_sm(trace, config=converged_config, **kwargs)
-        assert approx.blocks_completed == exact.blocks_completed == 100
-        assert approx.waves_extrapolated > 0.0
-        error = abs(approx.cycles - exact.cycles) / exact.cycles
-        assert error < 0.005
-        # Cheaper by construction: far fewer events actually replayed.
-        assert approx.events_replayed < exact.events_replayed
-
-    def test_exact_mode_never_extrapolates(self):
-        trace = self._long_trace()
-        result = simulate_sm(trace, warps_per_block=4, blocks_resident=2,
-                             total_blocks=40, config=DEFAULT_SIM_CONFIG)
-        assert result.waves_extrapolated == 0.0
-        assert result.waves_simulated == 20

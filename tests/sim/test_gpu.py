@@ -75,7 +75,10 @@ class TestConfigSensitivity:
         )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(constant_conflict_ways=0)
-        with pytest.raises(ValueError):
-            SimConfig(simulated_waves=0)
+        for bad in ({"constant_conflict_ways": 0}, {"simulated_waves": 0},
+                    {"issue_cycles_per_instruction": 0},
+                    {"bandwidth_burst_factor": 0.0},
+                    {"sfu_result_latency": -1},
+                    {"burst_window_bytes": -1.0}):
+            with pytest.raises(ValueError):
+                SimConfig(**bad)

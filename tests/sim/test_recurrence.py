@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.sim import WarpTrace, simulate_sm
 from repro.sim.config import DEFAULT_SIM_CONFIG
-from repro.sim.sm import CompiledTrace, compile_trace
+from repro.sim.sm import compile_trace
 from repro.sim.trace import BARRIER, COMPUTE, LOAD, SFU, STORE, USE, build_trace
 from tests.sim.oracles import simulate_sm_reference
 
@@ -196,23 +196,6 @@ class TestJumps:
         optimized, reference = replay_both(trace, 2, 2, 4)
         assert_identical(optimized, reference)
         assert optimized.events_skipped == 0
-
-    def test_convergence_mode_unchanged_by_jumps(self):
-        """Wave-convergence replays with and without loop ranges agree
-        on every field: the jump is exact there too."""
-        trace = pipelined_trace(repeats=60)
-        config = dataclasses.replace(DEFAULT_SIM_CONFIG,
-                                     wave_convergence_rtol=0.05)
-        compiled = compile_trace(trace, config)
-        plain = CompiledTrace(compiled.events, compiled.port_cycles,
-                              compiled.dram_bytes, loops=())
-        kwargs = dict(warps_per_block=4, blocks_resident=3,
-                      total_blocks=24, config=config)
-        jumped = simulate_sm(trace, compiled=compiled, **kwargs)
-        walked = simulate_sm(trace, compiled=plain, **kwargs)
-        assert jumped.events_skipped > 0
-        assert walked.events_skipped == 0
-        assert dataclasses.replace(jumped, events_skipped=0) == walked
 
 
 class TestAppKernels:

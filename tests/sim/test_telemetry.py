@@ -28,9 +28,7 @@ class TestSMResultTelemetry:
                              total_blocks=6, config=DEFAULT_SIM_CONFIG)
         assert result.waves_simulated == 3
         assert result.blocks_replayed == 6
-        assert result.blocks_extrapolated == 0
         assert result.blocks_resident == 2
-        assert result.waves_extrapolated == 0.0  # derived ratio
         # 3 dynamic events per warp, 3 warps per block, 6 blocks.
         assert result.events_replayed == 3 * 3 * 6
 

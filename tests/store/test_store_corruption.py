@@ -182,10 +182,11 @@ def test_damaged_config_entry_is_recomputed(tmp_path, caplog, verify,
     assert stats.static_evaluations == stats.simulations == 0
 
 
-def test_v2_sm_entry_is_dropped_and_recomputed(tmp_path, caplog):
-    """Schema 3 gave ``SMResult`` its ``events_skipped`` field: an sm
-    entry a v2 build wrote is a counted miss and is replayed again,
-    never served."""
+def _older_sm_entry_is_dropped_and_recomputed(tmp_path, caplog, schema):
+    """Rewrite the one sm entry a replay stored as if a ``schema``
+    build had written it, then check that the next replay counts it
+    as a corrupt miss, replays, and writes it back under the current
+    schema."""
     from repro.sim.fingerprint import SimulationCache
     from repro.sim.gpu import simulate_kernel
 
@@ -205,8 +206,8 @@ def test_v2_sm_entry_is_dropped_and_recomputed(tmp_path, caplog):
     path = store._entry_path(SM_TIER, key)
     header, payload = open(path, "rb").read().split(b"\n", 1)
     fields = header.split(b" ")
-    assert fields[1] == b"3"
-    fields[1] = b"2"
+    assert fields[1] == str(SCHEMA_VERSION).encode()
+    fields[1] = str(schema).encode()
     with open(path, "wb") as handle:
         handle.write(b" ".join(fields) + b"\n" + payload)
 
@@ -219,10 +220,23 @@ def test_v2_sm_entry_is_dropped_and_recomputed(tmp_path, caplog):
     assert counters["events_replayed"] == first.sm.events_replayed
     assert any("schema" in record.message for record in caplog.records)
 
-    # The replay rewrote the entry under schema 3.
+    # The replay rewrote the entry under the current schema.
     third, cache = simulate()
     assert third.sm == first.sm
     assert cache.counters()["events_replayed"] == 0
+
+
+def test_v2_sm_entry_is_dropped_and_recomputed(tmp_path, caplog):
+    """Schema 3 gave ``SMResult`` its ``events_skipped`` field: an sm
+    entry a v2 build wrote is a counted miss and is replayed again,
+    never served."""
+    _older_sm_entry_is_dropped_and_recomputed(tmp_path, caplog, 2)
+
+
+def test_v3_sm_entry_is_dropped_and_recomputed(tmp_path, caplog):
+    """Schema 4 dropped ``SMResult``'s wave-convergence fields: an sm
+    entry a v3 build wrote is a counted miss and is replayed again."""
+    _older_sm_entry_is_dropped_and_recomputed(tmp_path, caplog, 3)
 
 
 # ----------------------------------------------------------------------

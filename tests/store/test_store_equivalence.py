@@ -230,6 +230,5 @@ def test_absorb_does_not_inflate_work_counters(tmp_path):
 class _FakeSM:
     waves_simulated = 5
     blocks_replayed = 10
-    blocks_extrapolated = 0
     blocks_resident = 2
     events_replayed = 50

@@ -264,3 +264,60 @@ class TestLoopSemantics:
         out = np.zeros(16, dtype=np.int32)
         launch(kernel, {"data": out})
         np.testing.assert_array_equal(out, np.full(16, 12, dtype=np.int32))
+
+
+class TestScopeExit:
+    """A copy whose destination outlives its loop or branch."""
+
+    def _copy_read_after_loop(self):
+        """``loop(0,4) { a = ld x[tid]; c = mov a }; st x[tid], c``"""
+        b = builder()
+        x = b.param_ptr("data", S32)
+        with b.loop(0, 4):
+            a = b.ld(x, TID_X)
+            c = b.mov(a)
+        b.st(x, TID_X, c)
+        return b.finish()
+
+    def _check(self, kernel, transform):
+        validate(kernel)
+        folded = transform(kernel)
+        validate(folded)
+        initial = np.arange(64, dtype=np.int32) + 3
+        before, after = initial.copy(), initial.copy()
+        from repro.interp import launch
+
+        launch(kernel, {"data": before})
+        launch(folded, {"data": after})
+        np.testing.assert_array_equal(after, before)
+        return folded
+
+    def test_copy_read_after_loop_survives_constant_fold(self):
+        self._check(self._copy_read_after_loop(), constant_fold)
+
+    def test_copy_read_after_loop_survives_standard_cleanup(self):
+        from repro.transforms import standard_cleanup
+
+        self._check(self._copy_read_after_loop(), standard_cleanup)
+
+    def test_copy_of_counter_read_after_loop(self):
+        """The copy holds the last iteration's counter, not the
+        counter's value after the loop."""
+        b = builder()
+        data = b.param_ptr("data", S32)
+        with b.loop(0, 4) as i:
+            c = b.mov(i)
+        b.st(data, c, 9)
+        self._check(b.finish(), fold)
+
+    def test_copy_read_after_branch(self):
+        from repro.ir import CmpOp
+
+        b = builder()
+        data = b.param_ptr("data", S32)
+        pred = b.setp(CmpOp.LT, TID_X, 64)
+        with b.if_(pred):
+            a = b.ld(data, TID_X)
+            c = b.mov(a)
+        b.st(data, TID_X, c)
+        self._check(b.finish(), fold)

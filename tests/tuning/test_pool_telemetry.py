@@ -42,7 +42,7 @@ COUNTER_FIELDS = (
     "fingerprint_sm_hits",
     "waves_simulated",
     "blocks_replayed",
-    "blocks_extrapolated",
+    "blocks_resident",
     "events_replayed",
     "events_skipped",
 )
@@ -84,7 +84,7 @@ class CountingApp:
             e, u = config["e"], config["u"]
             totals["waves_simulated"] += e
             totals["blocks_replayed"] += e * 3
-            totals["blocks_extrapolated"] += u
+            totals["blocks_resident"] += u
             totals["events_replayed"] += e * u * 10
             totals["events_skipped"] += e * u * 7
             if e == 1:
@@ -98,7 +98,7 @@ class CountingApp:
         e, u = config["e"], config["u"]
         self.sim_cache.add("waves_simulated", e)
         self.sim_cache.add("blocks_replayed", e * 3)
-        self.sim_cache.add("blocks_extrapolated", u)
+        self.sim_cache.add("blocks_resident", u)
         self.sim_cache.add("events_replayed", e * u * 10)
         self.sim_cache.add("events_skipped", e * u * 7)
         if e == 1:

@@ -40,7 +40,6 @@ COMPARED_COUNTERS = (
     "fingerprint_sm_hits",
     "waves_simulated",
     "blocks_replayed",
-    "blocks_extrapolated",
     "blocks_resident",
     "events_replayed",
     "events_skipped",

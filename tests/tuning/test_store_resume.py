@@ -236,7 +236,7 @@ class TestKeySoundness:
         app = MatMul()
         config = app.default_configuration()
         before = app.result_key(config)
-        app.sim_overrides = {"wave_convergence_rtol": 0.05}
+        app.sim_overrides = {"simulated_waves": 3}
         assert app.result_key(config) != before
 
     def test_source_digest_changes_the_key(self, monkeypatch):
@@ -251,7 +251,7 @@ class TestKeySoundness:
         root = str(tmp_path / "store")
         _matmul_run(chosen, store=root)
         app = MatMul().test_instance()
-        app.sim_overrides = {"wave_convergence_rtol": 0.05}
+        app.sim_overrides = {"simulated_waves": 3}
         with app.search_engine(store=root) as engine:
             engine.evaluate_all(chosen)
             engine.seconds_for(chosen)
