@@ -50,7 +50,10 @@ bulk-rehydrates its cache up front (``preload_from_store`` — one
 produce bit-identical times (compared through JSON, which round-trips
 doubles exactly), and its sweep must beat this process's cold sweep by
 the gated ``warm_process_speedup_vs_cold`` ratio — the payoff the
-store exists to provide.
+store exists to provide.  The child's sweep takes milliseconds, so a
+few milliseconds of scheduling delay would move the ratio by half:
+``WARM_CHILDREN`` fresh children run against the same store, every
+one must pass every assert, and the gate reads the fastest.
 
 Results are also written to ``BENCH_sim_hotpath.json`` at the repo
 root for inspection.
@@ -81,6 +84,9 @@ RESULT_PATH = os.path.join(HERE, os.pardir, "BENCH_sim_hotpath.json")
 
 #: waves both pipelines sample in the headline deep phase
 DEEP_WAVES = 8
+
+#: fresh interpreters run against the store; the gate reads the fastest
+WARM_CHILDREN = 3
 
 #: Run in a fresh interpreter against a populated store: sweep the full
 #: matmul space and report per-config times, wall time, and counters.
@@ -172,9 +178,9 @@ def _static_pass(app):
     return evaluated
 
 
-def _run_warm_process(store_dir):
+def _run_warm_process(store_dir, child):
     """Sweep the space in a fresh interpreter warmed only by the store."""
-    out_path = os.path.join(store_dir, "warm_process_result.json")
+    out_path = os.path.join(store_dir, f"warm_process_result_{child}.json")
     src = os.path.join(HERE, os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
@@ -260,22 +266,27 @@ def test_matmul_full_space_speedup_vs_baseline():
         entries_flushed = optimized_app.sim_cache.flush_to_store(
             ResultStore(store_dir)
         )
-        warm_process = _run_warm_process(store_dir)
+        children = [
+            _run_warm_process(store_dir, child)
+            for child in range(WARM_CHILDREN)
+        ]
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
-    expected_times = {
+    expected_times = json.loads(json.dumps({
         config_key(config): seconds
         for config, seconds in optimized_times.items()
-    }
-    # JSON round-trips IEEE doubles exactly, so == is bit-equivalence.
-    assert warm_process["times"] == json.loads(json.dumps(expected_times))
-    assert warm_process["counters"]["events_replayed"] == 0
-    assert warm_process["counters"]["waves_simulated"] == 0
-    assert warm_process["counters"]["store_hits"] > 0
-    # The child rehydrated through the bulk path (one load_many per
-    # tier), not per-entry read-through.
-    assert warm_process["preloaded"] == entries_flushed
-    assert warm_process["counters"]["store_bulk_reads"] >= 4
+    }))
+    for warm_process in children:
+        # JSON round-trips IEEE doubles exactly, so == is bit-equivalence.
+        assert warm_process["times"] == expected_times
+        assert warm_process["counters"]["events_replayed"] == 0
+        assert warm_process["counters"]["waves_simulated"] == 0
+        assert warm_process["counters"]["store_hits"] > 0
+        # The child rehydrated through the bulk path (one load_many per
+        # tier), not per-entry read-through.
+        assert warm_process["preloaded"] == entries_flushed
+        assert warm_process["counters"]["store_bulk_reads"] >= 4
+    warm_process = min(children, key=lambda child: child["sweep_seconds"])
     warm_process_seconds = warm_process["sweep_seconds"]
     store_speedup = optimized_seconds / warm_process_seconds
 
@@ -332,8 +343,9 @@ def test_matmul_full_space_speedup_vs_baseline():
             "speedup_vs_cold": round(optimized_seconds / warm_seconds, 2),
             "counter_delta": warm_delta,
         },
-        # Fresh interpreter warmed only by the persistent store:
-        # bit-identical times, zero recomputation, gated speedup.
+        # Fresh interpreters warmed only by the persistent store:
+        # bit-identical times, zero recomputation; the fastest child's
+        # speedup is gated, every child's is recorded.
         "warm_process": {
             "entries_flushed": entries_flushed,
             "preloaded": warm_process["preloaded"],
@@ -341,6 +353,16 @@ def test_matmul_full_space_speedup_vs_baseline():
             "sweep_seconds": round(warm_process_seconds, 3),
             "speedup_vs_cold": round(store_speedup, 2),
             "baseline_speedup": expected_store,
+            "children": [
+                {
+                    "sweep_seconds": round(child["sweep_seconds"], 4),
+                    "preload_seconds": round(child["preload_seconds"], 3),
+                    "speedup_vs_cold": round(
+                        optimized_seconds / child["sweep_seconds"], 2
+                    ),
+                }
+                for child in children
+            ],
             "counters": warm_process["counters"],
         },
     }

@@ -28,6 +28,7 @@ from repro.ir.kernel import Kernel
 from repro.metrics.efficiency import efficiency
 from repro.metrics.model import MetricReport, evaluate_kernel
 from repro.obs.trace import span
+from repro.ptx.view import ViewCache
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.sim.fingerprint import Launch, SimulationCache, kernel_fingerprint
 from repro.sim.gpu import SimulationResult, simulate_kernel
@@ -87,6 +88,10 @@ class Application(abc.ABC):
         self._fingerprint_cache: Dict[Configuration, str] = {}
         self._time_cache: Dict[Configuration, float] = {}
         self._sim_cache = SimulationCache()
+        #: one view per built body (kernels are never mutated once
+        #: built); filled by the fingerprint, read by the compile pass
+        #: and the trace
+        self._views = ViewCache()
 
     # ------------------------------------------------------------------
     # Space and kernel generation.
@@ -218,7 +223,7 @@ class Application(abc.ABC):
         cached = self._sim_cache.lookup_compile(fingerprint)
         if cached is not None:
             return self._specialize_report(cached, kernel)
-        report = evaluate_kernel(kernel)
+        report = evaluate_kernel(kernel, view=self._views.view(kernel))
         self._sim_cache.store_compile(fingerprint, report)
         return report
 
@@ -226,7 +231,7 @@ class Application(abc.ABC):
         fingerprint = self._fingerprint_cache.get(config)
         if fingerprint is None:
             fingerprint = kernel_fingerprint(
-                kernel, self.effective_sim_config(config)
+                kernel, self.effective_sim_config(config), views=self._views
             )
             self._fingerprint_cache[config] = fingerprint
         return fingerprint
@@ -325,6 +330,7 @@ class Application(abc.ABC):
                 resources=self._resources_for(config),
                 cache=self._sim_cache,
                 launch=launch,
+                views=self._views,
             )
         self._time_cache.setdefault(config, self._total_seconds(config, result))
         return result
@@ -353,6 +359,7 @@ class Application(abc.ABC):
                         cache=self._sim_cache,
                         compiled_cache=compiled_cache,
                         launch=launch,
+                        views=self._views,
                     ))
             for config, result in zip(pending, results):
                 self._time_cache.setdefault(
@@ -448,6 +455,7 @@ class Application(abc.ABC):
         self._fingerprint_cache.clear()
         self._time_cache.clear()
         self._sim_cache.clear()
+        self._views.clear()
 
     def __getstate__(self) -> dict:
         # Keep pickles (process-pool workers) small and robust:
@@ -458,5 +466,6 @@ class Application(abc.ABC):
         state["_kernel_cache"] = {}
         state["_fingerprint_cache"] = {}
         state["_time_cache"] = {}
+        state["_views"] = ViewCache()
         state["_sim_cache"] = SimulationCache(store=self._sim_cache.store)
         return state

@@ -83,8 +83,9 @@ class MatMul(Application):
         if config["spill"]:
             # Spilling runs after cleanup, so the spilled kernel is its
             # unspilled twin's plus spill code: share that twin's build.
+            twin = self.kernel(config.replace(spill=False))
             return spill_registers(
-                self.kernel(config.replace(spill=False)), SPILL_COUNT
+                twin, SPILL_COUNT, view=self._views.view(twin)
             )
         kernel = self._baseline(tile, rect)
         kernel = unroll(kernel, config["unroll"], label="inner")

@@ -21,6 +21,9 @@ class MemorySpace(enum.Enum):
     # for latency queries.
     REGISTER = "register"
 
+    # Identity hash at C level (see DataType.__hash__).
+    __hash__ = object.__hash__
+
     @property
     def is_on_chip(self) -> bool:
         return self in (MemorySpace.SHARED, MemorySpace.CONSTANT,

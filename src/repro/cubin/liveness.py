@@ -2,9 +2,9 @@
 
 Registers-per-thread is the quantity the paper reads off ``nvcc
 -cubin``; we reproduce it with a classical live-interval model.  The
-structured IR is linearized depth-first, each virtual register gets the
-interval spanning its accesses, and intervals are widened by the loop
-rules:
+kernel's :class:`~repro.ptx.view.KernelView` linearizes the structured
+IR depth-first, each virtual register gets the interval spanning its
+accesses, and intervals are widened by the loop rules:
 
 * a register accessed both inside and outside a loop is live through
   the entire loop (live-in or live-out of the loop), and
@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 from bisect import bisect_left
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.ir.instructions import Instruction, Opcode
 from repro.ir.kernel import Kernel
-from repro.ir.statements import ForLoop, If, Statement
-from repro.ir.statements import instructions as iter_instructions
 from repro.ir.types import DataType
 from repro.ir.values import VirtualRegister
+from repro.ptx.isa import InstrClass
+from repro.ptx.view import LOOP, KernelView
 
 
 @dataclasses.dataclass
@@ -43,75 +42,6 @@ class LiveInterval:
         return self.end - self.start + 1
 
 
-class _Linearizer:
-    """Walks the tree once, numbering statements in program order.
-
-    Positions only grow during the walk, so every register's access
-    positions are recorded in ascending order.
-    """
-
-    def __init__(self) -> None:
-        self.position = 0
-        self.positions: Dict[VirtualRegister, List[int]] = {}
-        self.def_positions: Dict[VirtualRegister, List[int]] = {}
-        #: registers whose first access is a write
-        self.written_first: Set[VirtualRegister] = set()
-        self.loops: List[Tuple[int, int]] = []
-        self.barrier_positions: List[int] = []
-
-    def _read(self, register: VirtualRegister) -> None:
-        positions = self.positions.get(register)
-        if positions is None:
-            self.positions[register] = [self.position]
-            self.def_positions[register] = []
-        else:
-            positions.append(self.position)
-
-    def _write(self, register: VirtualRegister) -> None:
-        positions = self.positions.get(register)
-        if positions is None:
-            self.positions[register] = [self.position]
-            self.def_positions[register] = [self.position]
-            self.written_first.add(register)
-        else:
-            positions.append(self.position)
-            self.def_positions[register].append(self.position)
-
-    def visit_body(self, body: List[Statement]) -> None:
-        for stmt in body:
-            if isinstance(stmt, Instruction):
-                self.position += 1
-                if stmt.opcode is Opcode.BAR:
-                    self.barrier_positions.append(self.position)
-                for value in stmt.reads:
-                    if isinstance(value, VirtualRegister):
-                        self._read(value)
-                if stmt.dest is not None:
-                    self._write(stmt.dest)
-            elif isinstance(stmt, ForLoop):
-                self.position += 1
-                start_pos = self.position
-                # The counter is written at the header and read at the
-                # latch on every iteration.
-                self._write(stmt.counter)
-                for bound in (stmt.start, stmt.stop, stmt.step):
-                    if isinstance(bound, VirtualRegister):
-                        self._read(bound)
-                self.visit_body(stmt.body)
-                self.position += 1
-                self._read(stmt.counter)
-                # Dynamic bounds are re-read by the latch test.
-                if isinstance(stmt.stop, VirtualRegister):
-                    self._read(stmt.stop)
-                self.loops.append((start_pos, self.position))
-            elif isinstance(stmt, If):
-                self.position += 1
-                if isinstance(stmt.cond, VirtualRegister):
-                    self._read(stmt.cond)
-                self.visit_body(stmt.then_body)
-                self.visit_body(stmt.else_body)
-
-
 @dataclasses.dataclass
 class LivenessInfo:
     """Live intervals plus the structure needed for pipelining analysis."""
@@ -123,39 +53,87 @@ class LivenessInfo:
     def_positions: Dict[VirtualRegister, List[int]]
 
 
-def analyze_liveness(kernel: Kernel, include_predicates: bool = False) -> LivenessInfo:
+def analyze_liveness(
+    kernel: Kernel,
+    include_predicates: bool = False,
+    view: Optional[KernelView] = None,
+) -> LivenessInfo:
     """Compute widened live intervals for every virtual register.
 
     Predicate registers live in the 8800's separate predicate file and
     are excluded from the 32-bit register count unless requested.
+
+    Positions are the ``view``'s program points plus one: each
+    instruction, loop header, loop latch and ``If`` takes one.  An
+    instruction reads, then writes; a loop header writes its counter,
+    then reads its register bounds; a latch reads the counter (and a
+    register stop, re-read by the exit test); an ``If`` reads its
+    condition.  ``view`` is the kernel's
+    :class:`~repro.ptx.view.KernelView` when the caller has one.
 
     A register's accesses are ascending, so each loop rule needs no
     scan of them: a loop holds all of them iff it spans the first and
     the last, and one bisection tells whether a loop that spans only
     part of that range holds any.
     """
-    linearizer = _Linearizer()
-    linearizer.visit_body(kernel.body)
+    if view is None:
+        view = KernelView(kernel)
+    count = len(view.registers)
+    positions: List[Optional[List[int]]] = [None] * count
+    defs: List[Optional[List[int]]] = [None] * count
+    written_first = [False] * count
+    order: List[int] = []       # ids in first-access order
 
-    loops = linearizer.loops
-    def_positions = linearizer.def_positions
-    written_first = linearizer.written_first
+    def write(rid: int, position: int) -> None:
+        if positions[rid] is None:
+            positions[rid] = [position]
+            defs[rid] = [position]
+            written_first[rid] = True
+            order.append(rid)
+        else:
+            positions[rid].append(position)
+            defs[rid].append(position)
+
+    kinds = view.kinds
+    dests = view.dests
+    for point, read in enumerate(view.reads):
+        position = point + 1
+        dest = dests[point]
+        if kinds[point] == LOOP:
+            # The header writes the counter before reading the bounds.
+            write(dest, position)
+            dest = -1
+        for rid in read:
+            accesses = positions[rid]
+            if accesses is None:
+                positions[rid] = [position]
+                defs[rid] = []
+                order.append(rid)
+            else:
+                accesses.append(position)
+        if dest >= 0:
+            write(dest, position)
+
+    loops = view.loops
+    registers = view.registers
     intervals = []
-    for register, positions in linearizer.positions.items():
+    for rid in order:
+        register = registers[rid]
         if register.dtype is DataType.PRED and not include_predicates:
             continue
-        first = start = positions[0]
-        last = end = positions[-1]
+        accesses = positions[rid]
+        first = start = accesses[0]
+        last = end = accesses[-1]
         # Live through a loop holding every access only if carried by
         # it: the first access is a read and the body also writes it.
-        carried = register not in written_first and bool(def_positions[register])
+        carried = not written_first[rid] and bool(defs[rid])
         for loop_start, loop_end in loops:
             if loop_end < first or last < loop_start:
                 continue
             if loop_start <= first and last <= loop_end:
                 if not carried:
                     continue
-            elif positions[bisect_left(positions, loop_start)] > loop_end:
+            elif accesses[bisect_left(accesses, loop_start)] > loop_end:
                 # Accessed before and after the loop, never inside it.
                 continue
             if loop_start < start:
@@ -165,19 +143,25 @@ def analyze_liveness(kernel: Kernel, include_predicates: bool = False) -> Livene
         intervals.append(LiveInterval(register, start, end))
     return LivenessInfo(
         intervals=intervals,
-        loops=loops,
-        barrier_positions=linearizer.barrier_positions,
-        def_positions=def_positions,
+        loops=list(loops),
+        barrier_positions=list(view.barriers),
+        def_positions={registers[rid]: defs[rid] for rid in order},
     )
 
 
-def live_intervals(kernel: Kernel, include_predicates: bool = False) -> List[LiveInterval]:
+def live_intervals(
+    kernel: Kernel,
+    include_predicates: bool = False,
+    view: Optional[KernelView] = None,
+) -> List[LiveInterval]:
     """Widened live intervals only (see analyze_liveness)."""
-    return analyze_liveness(kernel, include_predicates).intervals
+    return analyze_liveness(kernel, include_predicates, view=view).intervals
 
 
 def pipeline_register_pressure(
-    kernel: Kernel, liveness: Optional[LivenessInfo] = None,
+    kernel: Kernel,
+    liveness: Optional[LivenessInfo] = None,
+    view: Optional[KernelView] = None,
 ) -> int:
     """Extra registers the runtime scheduler's pipelining consumes.
 
@@ -210,15 +194,16 @@ def pipeline_register_pressure(
 
     ``liveness`` is the kernel's ``analyze_liveness`` (predicates
     excluded), when the caller has it already; otherwise a kernel
-    without a barrier returns 0 before any analysis.
+    without a barrier returns 0 before any analysis.  ``view`` is the
+    kernel's :class:`~repro.ptx.view.KernelView`, when the caller has
+    it.
     """
+    if view is None:
+        view = KernelView(kernel)
     if liveness is None:
-        if not any(
-            instr.opcode is Opcode.BAR
-            for instr in iter_instructions(kernel.body)
-        ):
+        if not view.barriers:
             return 0
-        liveness = analyze_liveness(kernel)
+        liveness = analyze_liveness(kernel, view=view)
     if not liveness.barrier_positions:
         return 0
     straight_line_barrier_loops = []
@@ -234,10 +219,12 @@ def pipeline_register_pressure(
     if not straight_line_barrier_loops:
         return 0
 
+    registers = view.registers
+    dests = view.dests
     global_load_dests = {
-        instr.dest for instr in iter_instructions(kernel.body)
-        if instr.opcode is Opcode.LD and instr.is_global_access
-        and instr.dest is not None
+        registers[dests[point]]
+        for point, cls in enumerate(view.classes)
+        if cls is InstrClass.GLOBAL_LOAD or cls is InstrClass.LOCAL_LOAD
     }
 
     def spanning_written(interval: LiveInterval, extent) -> bool:

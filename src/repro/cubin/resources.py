@@ -16,6 +16,7 @@ from repro.arch.occupancy import LaunchError, Occupancy, blocks_per_sm
 from repro.cubin.liveness import analyze_liveness, pipeline_register_pressure
 from repro.cubin.regalloc import allocate_intervals
 from repro.ir.kernel import Kernel
+from repro.ptx.view import KernelView
 
 RESERVED_REGISTERS = 2
 """Registers the runtime reserves per thread (special-register staging)."""
@@ -54,7 +55,11 @@ class ResourceUsage:
         return True
 
 
-def cubin_info(kernel: Kernel, reschedule_seed: Optional[int] = None) -> ResourceUsage:
+def cubin_info(
+    kernel: Kernel,
+    reschedule_seed: Optional[int] = None,
+    view: Optional[KernelView] = None,
+) -> ResourceUsage:
     """Compile-time resource usage of a kernel (registers + shared mem).
 
     The register count has three components: the linear-scan
@@ -64,11 +69,14 @@ def cubin_info(kernel: Kernel, reschedule_seed: Optional[int] = None) -> Resourc
     ``pipeline_register_pressure``) — the paper's Section 3.1/3.2
     observation that runtime scheduling inflates register usage beyond
     developer control.  One liveness analysis serves both the
-    allocation and the pipelining estimate.
+    allocation and the pipelining estimate; ``view`` is the kernel's
+    :class:`~repro.ptx.view.KernelView` when the caller has one.
     """
-    liveness = analyze_liveness(kernel)
+    if view is None:
+        view = KernelView(kernel)
+    liveness = analyze_liveness(kernel, view=view)
     allocation = allocate_intervals(liveness.intervals, reschedule_seed)
-    pipelined = pipeline_register_pressure(kernel, liveness)
+    pipelined = pipeline_register_pressure(kernel, liveness, view=view)
     return ResourceUsage(
         registers_per_thread=(
             allocation.registers_used + pipelined + RESERVED_REGISTERS

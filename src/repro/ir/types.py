@@ -54,5 +54,8 @@ class CmpOp(enum.Enum):
     EQ = "eq"
     NE = "ne"
 
+    # Identity hash at C level (see DataType.__hash__).
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value

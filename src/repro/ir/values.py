@@ -85,6 +85,9 @@ class SpecialRegister(enum.Enum):
     NCTAID_X = "nctaid.x"
     NCTAID_Y = "nctaid.y"
 
+    # Identity hash at C level (see DataType.__hash__).
+    __hash__ = object.__hash__
+
     @property
     def dtype(self) -> DataType:
         return DataType.S32

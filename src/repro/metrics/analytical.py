@@ -25,6 +25,7 @@ from repro.cubin.resources import ResourceUsage, cubin_info
 from repro.ir.kernel import Kernel
 from repro.ptx.analysis import ExecutionProfile, profile_kernel
 from repro.ptx.isa import InstrClass
+from repro.ptx.view import KernelView
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
 
 
@@ -54,11 +55,12 @@ def analytical_estimate(
     """
     import math
 
+    view = KernelView(kernel)
     if resources is None:
-        resources = cubin_info(kernel)
+        resources = cubin_info(kernel, view=view)
     occupancy = resources.occupancy(config.device)
     if profile is None:
-        profile = profile_kernel(kernel)
+        profile = profile_kernel(kernel, view=view)
 
     warps = occupancy.warps_per_block
     issue = profile.instructions * config.issue_cycles_per_instruction * warps
@@ -79,15 +81,13 @@ def analytical_estimate(
     # The latency being hidden depends on what delimits the regions:
     # DRAM loads when the kernel has any, otherwise the SFU pipeline
     # (the Section 4 rule for which instructions count as blocking).
-    from repro.ptx.analysis import kernel_has_longer_latency_than_sfu
-
     bracket = (warps - 1) / 2.0 + (occupancy.blocks_per_sm - 1) * warps
     region_issue = (
         profile.instructions_per_region
         * config.issue_cycles_per_instruction
     )
     hidden = bracket * region_issue
-    if kernel_has_longer_latency_than_sfu(kernel):
+    if view.has_long_latency:
         blocking_latency = float(config.global_latency_cycles)
     else:
         blocking_latency = float(config.sfu_result_latency)

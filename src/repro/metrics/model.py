@@ -8,6 +8,7 @@ stream -> Instr, Regions), then evaluate Equations 1 and 2.
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 from repro.arch.constants import GEFORCE_8800_GTX, DeviceSpec
 from repro.arch.occupancy import Occupancy
@@ -17,6 +18,7 @@ from repro.metrics.bandwidth import BandwidthEstimate, estimate_bandwidth
 from repro.metrics.efficiency import efficiency
 from repro.metrics.utilization import utilization
 from repro.ptx.analysis import ExecutionProfile, profile_kernel
+from repro.ptx.view import KernelView
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,17 +57,22 @@ def evaluate_kernel(
     kernel: Kernel,
     device: DeviceSpec = GEFORCE_8800_GTX,
     reschedule_seed: int = None,
+    view: Optional[KernelView] = None,
 ) -> MetricReport:
     """Compute the Section 4 metrics for one kernel configuration.
 
     Raises LaunchError (via the occupancy calculation) for invalid
     executables, mirroring nvcc.  ``reschedule_seed`` engages the
     register allocator's runtime-perturbation hook (Section 3.2's
-    "uncontrollable element").
+    "uncontrollable element").  One :class:`~repro.ptx.view.KernelView`
+    serves both compiles: ``view`` when the caller has it, else a
+    fresh one.
     """
-    resources = cubin_info(kernel, reschedule_seed=reschedule_seed)
+    if view is None:
+        view = KernelView(kernel)
+    resources = cubin_info(kernel, reschedule_seed=reschedule_seed, view=view)
     occupancy = resources.occupancy(device)
-    profile = profile_kernel(kernel)
+    profile = profile_kernel(kernel, view=view)
     bandwidth = estimate_bandwidth(
         profile,
         threads_per_block=kernel.threads_per_block,

@@ -1,59 +1,30 @@
-"""PTX-level view of kernels: emission and static execution analysis."""
+"""PTX-level view of kernels: emission, the flat kernel view, and static
+execution analysis."""
 
 from repro.ptx.analysis import (
-    ControlOp,
     ExecutionProfile,
     MemoryTraffic,
     count_instructions,
     count_regions,
-    expand_dynamic,
-    kernel_has_longer_latency_than_sfu,
     memory_traffic,
     profile_kernel,
 )
-from repro.ptx.accounting import (
-    AccountingError,
-    text_instruction_count,
-    text_region_count,
-)
-from repro.ptx.affine import (
-    AccessReport,
-    Affine,
-    analyze_memory_access,
-    annotation_mismatches,
-    bank_conflict_ways,
-    is_coalesced,
-)
 from repro.ptx.emit import emit_ptx
-from repro.ptx.parse import PtxInstruction, PtxListing, PtxParseError, parse_ptx
 from repro.ptx.isa import BLOCKING_CLASSES, InstrClass, classify, mnemonic
+from repro.ptx.view import KernelView, ViewCache
 
 __all__ = [
-    "AccessReport",
-    "AccountingError",
-    "Affine",
     "BLOCKING_CLASSES",
-    "analyze_memory_access",
-    "annotation_mismatches",
-    "bank_conflict_ways",
-    "is_coalesced",
-    "ControlOp",
     "ExecutionProfile",
     "InstrClass",
-    "PtxInstruction",
-    "PtxListing",
-    "PtxParseError",
+    "KernelView",
     "MemoryTraffic",
+    "ViewCache",
     "classify",
     "count_instructions",
     "count_regions",
     "emit_ptx",
-    "expand_dynamic",
-    "kernel_has_longer_latency_than_sfu",
     "memory_traffic",
     "mnemonic",
-    "parse_ptx",
-    "text_instruction_count",
-    "text_region_count",
     "profile_kernel",
 ]

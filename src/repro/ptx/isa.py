@@ -9,6 +9,7 @@ classification table rather than a full assembler.
 from __future__ import annotations
 
 import enum
+from typing import Optional
 
 from repro.arch.memory import MemorySpace
 from repro.ir.instructions import Instruction, Opcode
@@ -30,6 +31,10 @@ class InstrClass(enum.Enum):
     BARRIER = "barrier"
     CONTROL = "control"      # loop/branch overhead instructions
 
+    # Identity hash at C level (see DataType.__hash__): classes key the
+    # instruction mix and the consumers' per-point tables.
+    __hash__ = object.__hash__
+
 
 _LOAD_CLASS = {
     MemorySpace.GLOBAL: InstrClass.GLOBAL_LOAD,
@@ -46,17 +51,27 @@ _STORE_CLASS = {
 }
 
 
+#: the class of every opcode that does not access memory
+_OPCODE_CLASS = {
+    op: InstrClass.BARRIER if op is Opcode.BAR
+    else InstrClass.SFU if op.is_sfu else InstrClass.ALU
+    for op in Opcode if not op.is_memory
+}
+
+
+def access_class(opcode: Opcode, space: Optional[MemorySpace]) -> InstrClass:
+    """The cost class of an instruction with ``opcode`` that accesses
+    ``space`` (``None`` for an instruction without a memory operand)."""
+    cls = _OPCODE_CLASS.get(opcode)
+    if cls is None:
+        cls = (_LOAD_CLASS if opcode is Opcode.LD else _STORE_CLASS)[space]
+    return cls
+
+
 def classify(instr: Instruction) -> InstrClass:
     """Assign the cost class of one IR instruction."""
-    if instr.opcode is Opcode.BAR:
-        return InstrClass.BARRIER
-    if instr.opcode is Opcode.LD:
-        return _LOAD_CLASS[instr.mem.space]
-    if instr.opcode is Opcode.ST:
-        return _STORE_CLASS[instr.mem.space]
-    if instr.opcode.is_sfu:
-        return InstrClass.SFU
-    return InstrClass.ALU
+    mem = instr.mem
+    return access_class(instr.opcode, None if mem is None else mem.space)
 
 
 def mnemonic(instr: Instruction) -> str:

@@ -25,19 +25,11 @@ application shares work across its whole configuration space.
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.ir.instructions import Instruction, MemRef
 from repro.ir.kernel import Kernel
-from repro.ir.statements import ForLoop, If, Statement
-from repro.ir.values import (
-    Immediate,
-    Param,
-    SpecialRegister,
-    VirtualRegister,
-)
 from repro.obs.metrics import Counters
+from repro.ptx.view import KernelView, ViewCache
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -48,113 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.store.disk import ResultStore, StoreEntry
 
 
-class _Canonicalizer:
-    """Serializes a kernel into a stream of unambiguous tokens.
-
-    Virtual registers are renamed by first occurrence, parameters and
-    arrays are referred to by position, so two kernels that differ only
-    in naming (or in grid size) produce the same stream.
-    """
-
-    def __init__(self, kernel: Kernel) -> None:
-        self.tokens: List[str] = []
-        self._regs: Dict[VirtualRegister, int] = {}
-        self._params = {p: i for i, p in enumerate(kernel.params)}
-        self._shared = {a: i for i, a in enumerate(kernel.shared_arrays)}
-        self._local = {a: i for i, a in enumerate(kernel.local_arrays)}
-
-    # -- operand encoding ------------------------------------------------
-
-    def _reg(self, reg: VirtualRegister) -> str:
-        slot = self._regs.get(reg)
-        if slot is None:
-            slot = self._regs[reg] = len(self._regs)
-        return f"r{slot}"
-
-    def _value(self, value) -> str:
-        if isinstance(value, VirtualRegister):
-            return self._reg(value)
-        if isinstance(value, Immediate):
-            return f"i:{value.value!r}:{value.dtype.value}"
-        if isinstance(value, SpecialRegister):
-            return f"s:{value.value}"
-        if isinstance(value, Param):
-            return f"p:{self._params[value]}"
-        raise TypeError(f"unserializable operand {value!r}")
-
-    def _base(self, base) -> str:
-        index = self._params.get(base)
-        if index is not None:
-            return f"p:{index}"
-        index = self._shared.get(base)
-        if index is not None:
-            return f"sh:{index}"
-        return f"lo:{self._local[base]}"
-
-    def _mem(self, mem: Optional[MemRef]) -> str:
-        if mem is None:
-            return ""
-        return "@".join(
-            (
-                self._base(mem.base),
-                self._value(mem.index),
-                str(mem.offset),
-                mem.space.value,
-                mem.dtype.value,
-            )
-        )
-
-    # -- statement encoding ----------------------------------------------
-
-    def _instruction(self, instr: Instruction) -> None:
-        self.tokens.append(
-            "|".join(
-                (
-                    "I",
-                    instr.opcode.value,
-                    instr.cmp.value if instr.cmp is not None else "",
-                    self._reg(instr.dest) if instr.dest is not None else "",
-                    ",".join(self._value(s) for s in instr.srcs),
-                    self._mem(instr.mem),
-                    "c" if instr.coalesced else "u",
-                )
-            )
-        )
-
-    def body(self, statements: List[Statement]) -> None:
-        for stmt in statements:
-            if isinstance(stmt, Instruction):
-                self._instruction(stmt)
-            elif isinstance(stmt, ForLoop):
-                trips = "?" if stmt.trip_count is None else str(stmt.trip_count)
-                self.tokens.append(
-                    "|".join(
-                        (
-                            "F",
-                            trips,
-                            self._reg(stmt.counter),
-                            self._value(stmt.start),
-                            self._value(stmt.stop),
-                            self._value(stmt.step),
-                        )
-                    )
-                )
-                self.body(stmt.body)
-                self.tokens.append("EndF")
-            elif isinstance(stmt, If):
-                self.tokens.append(
-                    f"C|{self._value(stmt.cond)}|{stmt.taken_fraction!r}"
-                )
-                self.body(stmt.then_body)
-                self.tokens.append("Else")
-                self.body(stmt.else_body)
-                self.tokens.append("EndC")
-            else:
-                raise TypeError(f"unserializable statement {stmt!r}")
-
-
 def kernel_fingerprint(
-    kernel: Kernel, config: SimConfig = DEFAULT_SIM_CONFIG
+    kernel: Kernel,
+    config: SimConfig = DEFAULT_SIM_CONFIG,
+    views: Optional[ViewCache] = None,
 ) -> str:
     """Content hash of everything the simulation pipeline consumes.
 
@@ -162,8 +51,15 @@ def kernel_fingerprint(
     resource usage, warp traces, and per-sample SM behaviour under
     ``config``.  The kernel *name* and the *grid* dimensions are
     deliberately excluded (see module docstring).
+
+    The body's tokens come from the kernel's
+    :class:`~repro.ptx.view.KernelView`, which spells them while it
+    linearizes the body: registers renamed by first occurrence,
+    parameters and arrays referred to by position.  With ``views``
+    the view is taken from (or built into) that cache, where the
+    static consumers that follow find it; otherwise it is built fresh.
     """
-    canon = _Canonicalizer(kernel)
+    view = views.view(kernel) if views is not None else KernelView(kernel)
     header = [
         f"blk|{kernel.block_dim.x}|{kernel.block_dim.y}|{kernel.block_dim.z}",
     ]
@@ -179,10 +75,7 @@ def kernel_fingerprint(
         f"L|{a.dtype.value}|{a.length}" for a in kernel.local_arrays
     )
     header.append(f"cfg|{config!r}")
-    canon.tokens.extend(header)
-    canon.body(kernel.body)
-    digest = hashlib.sha256("\n".join(canon.tokens).encode("utf-8"))
-    return digest.hexdigest()
+    return view.digest("\n".join(header))
 
 
 class Launch(NamedTuple):

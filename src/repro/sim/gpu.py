@@ -19,6 +19,7 @@ from repro.arch.occupancy import LaunchError, Occupancy
 from repro.cubin.resources import ResourceUsage, cubin_info
 from repro.ir.kernel import Kernel
 from repro.obs.trace import span
+from repro.ptx.view import ViewCache
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.sim.fingerprint import Launch, SimulationCache, kernel_fingerprint
 from repro.sim.sm import SMResult, compile_trace, simulate_sm
@@ -51,6 +52,7 @@ def simulate_kernel(
     cache: Optional[SimulationCache] = None,
     compiled_cache: Optional[dict] = None,
     launch: Optional[Launch] = None,
+    views: Optional[ViewCache] = None,
 ) -> SimulationResult:
     """Estimate a kernel's execution time on the device.
 
@@ -76,10 +78,18 @@ def simulate_kernel(
     name and block count, so the kernel itself is needed only when a
     cache tier misses: ``kernel`` may then be a zero-argument callable
     that builds it, called only for the compile pass or the trace.
+
+    ``views`` (a :class:`~repro.ptx.view.ViewCache` over kernels that
+    are never mutated) supplies the kernel's view to the fingerprint,
+    the compile pass and the trace.  Without it they share a view
+    built for this call alone.
     """
+    if views is None:
+        views = ViewCache()
     if launch is None:
         launch = Launch(
-            kernel_fingerprint(kernel, config) if cache is not None else "",
+            kernel_fingerprint(kernel, config, views=views)
+            if cache is not None else "",
             kernel.name, kernel.num_blocks,
         )
     build = kernel if callable(kernel) else lambda: kernel
@@ -89,7 +99,8 @@ def simulate_kernel(
             resources = cache.lookup_resources(fingerprint)
         if resources is None:
             with span("sim.compile", cat="sim", kernel=launch.kernel_name):
-                resources = cubin_info(build())
+                built_kernel = build()
+                resources = cubin_info(built_kernel, view=views.view(built_kernel))
             if fingerprint is not None:
                 cache.store_resources(fingerprint, resources)
     elif fingerprint is not None:
@@ -102,7 +113,8 @@ def simulate_kernel(
         trace = cache.lookup_trace(fingerprint)
     if trace is None:
         with span("sim.trace_build", cat="sim", kernel=launch.kernel_name):
-            trace = build_trace(build(), config)
+            built_kernel = build()
+            trace = build_trace(built_kernel, config, view=views.view(built_kernel))
         if fingerprint is not None:
             cache.store_trace(fingerprint, trace)
     blocks_per_sm_total = math.ceil(launch.num_blocks / config.device.num_sms)

@@ -18,7 +18,8 @@ Compression
 A trace is stored as a small set of *segments* (tuples of events) plus
 a *program* of ``(segment_index, repeat)`` records.  Loops do not
 materialize ``trip_count`` copies of their body: the builder walks the
-statement tree once, emits the first iteration literally (its
+program points of the kernel's :class:`~repro.ptx.view.KernelView`,
+emits a loop's first iteration literally (its
 scoreboard state differs — prefetched loads from the preamble resolve
 here), then captures the second and third iterations and proves they
 are identical.  Steady-state iterations collapse into one record, so
@@ -27,23 +28,24 @@ instructions) while decompressing to the *byte-identical* event stream
 the uncompressed builder produced.
 
 The scoreboard tags in LOAD/SFU/USE events are *slots* — stable ids
-per destination register — rather than one-shot serial tags, so a
-repeated segment replays correctly: a later load to the same register
-simply overwrites the slot's completion time, exactly matching the
-old tag semantics where a USE always referenced the latest tag.
+per destination register (numbered as their loads and SFU ops first
+issue, keyed by the view's register ids) — rather than one-shot serial
+tags, so a repeated segment replays correctly: a later load to the
+same register simply overwrites the slot's completion time, exactly
+matching the old tag semantics where a USE always referenced the
+latest tag.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.instructions import Instruction
 from repro.ir.kernel import Kernel
-from repro.ir.statements import ForLoop, If, Statement
-from repro.ir.values import VirtualRegister
 from repro.ptx.analysis import LOOP_OVERHEAD_PER_TRIP, LOOP_OVERHEAD_SETUP
-from repro.ptx.isa import InstrClass, classify
+from repro.ptx.isa import InstrClass
+from repro.ptx.view import INSTR, LOOP, KernelView
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
 
 # Event kinds (tuple-encoded for speed: (kind, a, b)).  Port-consuming
@@ -116,6 +118,25 @@ def _warp_bytes(instr: Instruction, threads: int, config: SimConfig) -> float:
     return total
 
 
+# What an instruction point does to the trace (its ``_actions`` entry).
+_ALU = 0        # arg: issue slots added to the compute run
+_DRAM_LOAD = 1  # arg: warp bytes
+_TEX_LOAD = 2
+_STORE = 3      # arg: warp bytes
+_BARRIER = 4
+_SFU = 5
+
+_ROLES = {
+    InstrClass.GLOBAL_LOAD: _DRAM_LOAD,
+    InstrClass.LOCAL_LOAD: _DRAM_LOAD,
+    InstrClass.TEXTURE_LOAD: _TEX_LOAD,
+    InstrClass.GLOBAL_STORE: _STORE,
+    InstrClass.LOCAL_STORE: _STORE,
+    InstrClass.BARRIER: _BARRIER,
+    InstrClass.SFU: _SFU,
+}
+
+
 @dataclasses.dataclass
 class _IterationDelta:
     """Accounting advance of one captured loop iteration."""
@@ -127,39 +148,60 @@ class _IterationDelta:
 
 
 class _TraceBuilder:
-    """Single-pass statement-tree walk producing a compressed trace.
+    """Emits a compressed trace from a kernel's view.
 
-    Mirrors the event-emission rules of the original flat builder
-    exactly (instruction classes, scoreboard USE points, loop-control
-    overhead of ``LOOP_OVERHEAD_SETUP``/``LOOP_OVERHEAD_PER_TRIP``
-    synthetic ops); the only difference is that steady-state loop
-    iterations are stored once and replayed by repeat count.
+    Event rules per instruction class, scoreboard USE points, and the
+    loop-control overhead of ``LOOP_OVERHEAD_SETUP`` /
+    ``LOOP_OVERHEAD_PER_TRIP`` synthetic ops are those of the flat
+    builder; the only difference is that steady-state loop iterations
+    are stored once and replayed by repeat count.  Each instruction
+    point's action is resolved once per build (``_actions``), so the
+    repeated walks of a loop body (first, second and proving third
+    iteration) only read it.
     """
 
-    def __init__(self, kernel: Kernel, config: SimConfig) -> None:
+    def __init__(self, kernel: Kernel, view: KernelView, config: SimConfig) -> None:
         self.config = config
-        self.threads = min(kernel.threads_per_block, config.device.warp_size)
+        self.view = view
+        threads = min(kernel.threads_per_block, config.device.warp_size)
+        shared_ways = config.shared_bank_conflict_ways
+        constant_ways = config.constant_conflict_ways
+        actions: List[Tuple[int, object]] = []
+        for point, cls in enumerate(view.classes):
+            role = _ROLES.get(cls)
+            if role is None:
+                if cls is InstrClass.CONST_LOAD:
+                    # Constant-cache hits cost like ALU ops unless
+                    # conflicted.
+                    actions.append((_ALU, constant_ways))
+                elif cls is InstrClass.SHARED_LOAD or cls is InstrClass.SHARED_STORE:
+                    # Bank-conflict-free by default (Table 1);
+                    # serialized accesses replay the instruction per
+                    # conflicting bank.
+                    actions.append((_ALU, shared_ways))
+                else:
+                    # Remaining ALU work (and non-instruction points).
+                    actions.append((_ALU, 1))
+            elif role == _DRAM_LOAD or role == _STORE:
+                actions.append(
+                    (role, _warp_bytes(view.stmts[point], threads, config))
+                )
+            else:
+                actions.append((role, 0))
+        self._actions = actions
         self.segments: List[Tuple[Event, ...]] = []
         self._segment_ids: Dict[Tuple[Event, ...], int] = {}
         #: stack of record streams; captures push a scratch stream
         self._records: List[List[Tuple[int, int]]] = [[]]
         self._events: List[Event] = []      # open (unsealed) event run
-        self.pending: Dict[VirtualRegister, int] = {}   # reg -> slot
-        self._slots: Dict[VirtualRegister, int] = {}
+        self.pending: Dict[int, int] = {}   # register id -> slot
+        self._slots: Dict[int, int] = {}
         self.compute_run = 0
         self.issue_slots = 0
         self.dram_bytes = 0.0
 
     # ------------------------------------------------------------------
     # Event plumbing.
-
-    def _emit(self, event: Event) -> None:
-        self._events.append(event)
-
-    def _flush_compute(self) -> None:
-        if self.compute_run:
-            self._events.append((COMPUTE, self.compute_run, 0))
-            self.compute_run = 0
 
     def _seal(self) -> None:
         """Close the open event run into a program record.
@@ -181,102 +223,108 @@ class _TraceBuilder:
             self._segment_ids[events] = index
         return index
 
-    def _slot(self, reg: VirtualRegister) -> int:
-        slot = self._slots.get(reg)
-        if slot is None:
-            slot = self._slots[reg] = len(self._slots)
-        return slot
-
     def _control(self, count: int) -> None:
         """Synthetic loop/branch overhead ops (PTX add/setp/bra)."""
         self.compute_run += count
         self.issue_slots += count
 
     # ------------------------------------------------------------------
-    # Statement dispatch (same rules as the flat builder).
+    # The walk over program points.
 
-    def _note_uses(self, instr: Instruction) -> None:
-        for value in instr.reads:
-            if isinstance(value, VirtualRegister) and value in self.pending:
-                self._flush_compute()
-                self._emit((USE, self.pending.pop(value), 0))
-
-    def _instruction(self, op: Instruction) -> None:
-        config = self.config
-        cls = classify(op)
-        self._note_uses(op)
-        self.issue_slots += 1
-        if cls in (InstrClass.GLOBAL_LOAD, InstrClass.LOCAL_LOAD,
-                   InstrClass.TEXTURE_LOAD):
-            self._flush_compute()
-            if cls is InstrClass.TEXTURE_LOAD:
-                bytes_ = 0.0
-                latency = config.texture_latency_cycles
+    def _range(self, start: int, stop: int) -> None:
+        """Emit the points in ``[start, stop)``."""
+        view = self.view
+        kinds = view.kinds
+        reads = view.reads
+        dests = view.dests
+        actions = self._actions
+        pending = self.pending
+        slots = self._slots
+        events = self._events
+        latency = self.config.global_latency_cycles
+        texture_latency = self.config.texture_latency_cycles
+        point = start
+        while point < stop:
+            if kinds[point] != INSTR:
+                # A loop capture seals the open run: pick up the new one.
+                point = self._statement(point)
+                events = self._events
+                continue
+            if pending:
+                for rid in reads[point]:
+                    if rid in pending:
+                        if self.compute_run:
+                            events.append((COMPUTE, self.compute_run, 0))
+                            self.compute_run = 0
+                        events.append((USE, pending.pop(rid), 0))
+            self.issue_slots += 1
+            role, arg = actions[point]
+            if role == _ALU:
+                self.compute_run += arg
             else:
-                bytes_ = _warp_bytes(op, self.threads, config)
-                latency = config.global_latency_cycles
-                self.dram_bytes += bytes_
-            slot = self._slot(op.dest)
-            if op.dest is not None:
-                self.pending[op.dest] = slot
-            self._emit((LOAD, slot, (bytes_, latency)))
-        elif cls in (InstrClass.GLOBAL_STORE, InstrClass.LOCAL_STORE):
-            self._flush_compute()
-            bytes_ = _warp_bytes(op, self.threads, config)
-            self.dram_bytes += bytes_
-            self._emit((STORE, 0, bytes_))
-        elif cls is InstrClass.BARRIER:
-            self._flush_compute()
-            self._emit((BARRIER, 0, 0))
-        elif cls is InstrClass.SFU:
-            self._flush_compute()
-            slot = self._slot(op.dest)
-            if op.dest is not None:
-                self.pending[op.dest] = slot
-            self._emit((SFU, slot, 0))
-        elif cls is InstrClass.CONST_LOAD:
-            # Constant-cache hits cost like ALU ops unless conflicted.
-            self.compute_run += config.constant_conflict_ways
-        elif cls in (InstrClass.SHARED_LOAD, InstrClass.SHARED_STORE):
-            # Bank-conflict-free by default (Table 1); serialized
-            # accesses replay the instruction per conflicting bank.
-            self.compute_run += config.shared_bank_conflict_ways
-        else:
-            # Remaining ALU work: one issue slot.
-            self.compute_run += 1
-
-    def _body(self, body: List[Statement]) -> None:
-        for stmt in body:
-            if isinstance(stmt, Instruction):
-                self._instruction(stmt)
-            elif isinstance(stmt, ForLoop):
-                self._loop(stmt)
-            elif isinstance(stmt, If):
-                self._control(1)          # guarding branch
-                if stmt.taken_fraction >= 1.0:
-                    self._body(stmt.then_body)
-                elif stmt.taken_fraction <= 0.0:
-                    self._body(stmt.else_body)
+                if self.compute_run:
+                    events.append((COMPUTE, self.compute_run, 0))
+                    self.compute_run = 0
+                if role == _DRAM_LOAD or role == _TEX_LOAD:
+                    if role == _TEX_LOAD:
+                        payload = (0.0, texture_latency)
+                    else:
+                        payload = (arg, latency)
+                        self.dram_bytes += arg
+                    dest = dests[point]
+                    slot = slots.get(dest)
+                    if slot is None:
+                        slot = slots[dest] = len(slots)
+                    pending[dest] = slot
+                    events.append((LOAD, slot, payload))
+                elif role == _STORE:
+                    self.dram_bytes += arg
+                    events.append((STORE, 0, arg))
+                elif role == _BARRIER:
+                    events.append((BARRIER, 0, 0))
                 else:
-                    # Divergent warps serialize both sides.
-                    self._body(stmt.then_body)
-                    self._body(stmt.else_body)
+                    dest = dests[point]
+                    slot = slots.get(dest)
+                    if slot is None:
+                        slot = slots[dest] = len(slots)
+                    pending[dest] = slot
+                    events.append((SFU, slot, 0))
+            point += 1
 
-    def _iteration(self, loop: ForLoop) -> None:
-        self._body(loop.body)
+    def _statement(self, point: int) -> int:
+        """Emit the loop or ``If`` headed at ``point``; returns the
+        point after it."""
+        view = self.view
+        mid, end = view.spans[point]
+        stmt = view.stmts[point]
+        if view.kinds[point] == LOOP:
+            self._loop(point + 1, mid, stmt.annotated_trips)
+        else:
+            self._control(1)          # guarding branch
+            if stmt.taken_fraction >= 1.0:
+                self._range(point + 1, mid)
+            elif stmt.taken_fraction <= 0.0:
+                self._range(mid, end)
+            else:
+                # Divergent warps serialize both sides.
+                self._range(point + 1, end)
+        return end
+
+    def _iteration(self, start: int, stop: int) -> None:
+        self._range(start, stop)
         self._control(LOOP_OVERHEAD_PER_TRIP)   # add + setp + bra
 
     # ------------------------------------------------------------------
     # Loop compression.
 
-    def _capture_iteration(self, loop: ForLoop) -> _IterationDelta:
+    def _capture_iteration(self, start: int, stop: int) -> _IterationDelta:
         """Run one iteration with its records diverted to a scratch
         stream, returning the emitted records and accounting deltas."""
         self._seal()
         self._records.append([])
         issue_before = self.issue_slots
         dram_before = self.dram_bytes
-        self._iteration(loop)
+        self._iteration(start, stop)
         self._seal()
         records = self._records.pop()
         return _IterationDelta(
@@ -308,18 +356,18 @@ class _TraceBuilder:
             for _ in range(count):
                 self._records[-1].extend(records)
 
-    def _loop(self, loop: ForLoop) -> None:
-        trips = loop.annotated_trips
+    def _loop(self, start: int, stop: int, trips: int) -> None:
+        """Emit a loop whose body is the points in ``[start, stop)``."""
         self._control(LOOP_OVERHEAD_SETUP)       # init mov
         if trips == 0:
             return
         # First iteration inline: its scoreboard interactions (preamble
         # loads resolving, first-touch USE points) are unique.
-        self._iteration(loop)
+        self._iteration(start, stop)
         if trips == 1:
             return
         # Second iteration: the candidate steady state.
-        second = self._capture_iteration(loop)
+        second = self._capture_iteration(start, stop)
         pending_after_second = dict(self.pending)
         self._append_records(second.records)
         if trips == 2:
@@ -328,7 +376,7 @@ class _TraceBuilder:
         # reaches its fixed point after one body execution, so if the
         # third iteration replays the second exactly, so do all later
         # ones (the state transition is deterministic and idempotent).
-        third = self._capture_iteration(loop)
+        third = self._capture_iteration(start, stop)
         if (third.records == second.records
                 and self.pending == pending_after_second):
             self._repeat_records(third.records, trips - 2)
@@ -341,12 +389,14 @@ class _TraceBuilder:
             # exactness safety net): expand the remaining trips.
             self._append_records(third.records)
             for _ in range(trips - 3):
-                self._iteration(loop)
+                self._iteration(start, stop)
 
     # ------------------------------------------------------------------
 
     def finish(self) -> WarpTrace:
-        self._flush_compute()
+        if self.compute_run:
+            self._events.append((COMPUTE, self.compute_run, 0))
+            self.compute_run = 0
         self._seal()
         assert len(self._records) == 1, "unbalanced capture stack"
         return WarpTrace(
@@ -357,15 +407,23 @@ class _TraceBuilder:
         )
 
 
-def build_trace(kernel: Kernel, config: SimConfig = DEFAULT_SIM_CONFIG) -> WarpTrace:
+def build_trace(
+    kernel: Kernel,
+    config: SimConfig = DEFAULT_SIM_CONFIG,
+    view: Optional[KernelView] = None,
+) -> WarpTrace:
     """Compile a kernel into its (loop-compressed) warp trace.
 
     The final (possibly partial) warp is modeled like a full one: the
     SIMD pipeline charges a full warp's issue slots regardless of how
     many lanes are active.  Build time and trace memory are O(static
     instructions): steady-state loop iterations are stored once and
-    replayed by repeat count (see :class:`WarpTrace`).
+    replayed by repeat count (see :class:`WarpTrace`).  The events come
+    from the kernel's :class:`~repro.ptx.view.KernelView` — ``view``
+    when the caller has it, else a fresh one.
     """
-    builder = _TraceBuilder(kernel, config)
-    builder._body(kernel.body)
+    if view is None:
+        view = KernelView(kernel)
+    builder = _TraceBuilder(kernel, view, config)
+    builder._range(0, view.size)
     return builder.finish()

@@ -21,6 +21,7 @@ from repro.ir.kernel import Kernel
 from repro.ir.statements import ForLoop, If, Statement
 from repro.ir.types import DataType
 from repro.ir.values import Immediate, LocalArray, VirtualRegister
+from repro.ptx.view import KernelView
 from repro.transforms.rewrite import FreshNames, clone_kernel
 
 
@@ -49,11 +50,16 @@ def _loop_bound_registers(body: List[Statement]) -> Set[VirtualRegister]:
     return found
 
 
-def choose_spill_candidates(kernel: Kernel, count: int) -> List[VirtualRegister]:
-    """Longest-lived registers that can legally move to local memory."""
+def choose_spill_candidates(
+    kernel: Kernel, count: int, view: Optional[KernelView] = None,
+) -> List[VirtualRegister]:
+    """Longest-lived registers that can legally move to local memory.
+
+    ``view`` is the kernel's :class:`~repro.ptx.view.KernelView`, when
+    the caller has one."""
     excluded = _loop_bound_registers(kernel.body)
     intervals = sorted(
-        (iv for iv in live_intervals(kernel)
+        (iv for iv in live_intervals(kernel, view=view)
          if iv.register not in excluded
          and iv.register.dtype is not DataType.PRED),
         key=lambda iv: iv.length,
@@ -66,9 +72,13 @@ def spill_registers(
     kernel: Kernel,
     count: int = 1,
     registers: Optional[List[VirtualRegister]] = None,
+    view: Optional[KernelView] = None,
 ) -> Kernel:
-    """Spill ``count`` registers (or an explicit list) to local memory."""
-    victims = registers if registers is not None else choose_spill_candidates(kernel, count)
+    """Spill ``count`` registers (or an explicit list) to local memory;
+    ``view`` is ``kernel``'s view for choosing them, when the caller has
+    one."""
+    victims = (registers if registers is not None
+               else choose_spill_candidates(kernel, count, view=view))
     if not victims:
         raise SpillError(f"kernel {kernel.name} has no spillable register")
     slots: Dict[VirtualRegister, int] = {reg: i for i, reg in enumerate(victims)}

@@ -6,6 +6,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# ``--hypothesis-profile=deep`` (the nightly run of tests/ir/test_view.py)
+# draws far more examples than the default tier-1 budget.
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 from repro.ir import DataType, Dim3, KernelBuilder
 from repro.ir.builder import CTAID_X, CTAID_Y, TID_X, TID_Y

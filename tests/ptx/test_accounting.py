@@ -3,12 +3,12 @@
 import pytest
 
 from repro.ptx import count_instructions, count_regions, emit_ptx
-from repro.ptx.accounting import (
+from tests.ptx.accounting import (
     AccountingError,
     text_instruction_count,
     text_region_count,
 )
-from repro.ptx.parse import parse_ptx
+from tests.ptx.parse import parse_ptx
 from repro.transforms import COMPLETE, standard_cleanup, unroll
 from tests.conftest import build_saxpy, build_tiled_matmul
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ir import DataType, Dim3, KernelBuilder
 from repro.ir.builder import CTAID_X, TID_X, TID_Y
-from repro.ptx.affine import (
+from tests.ptx.affine import (
     Affine,
     analyze_memory_access,
     annotation_mismatches,

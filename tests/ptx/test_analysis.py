@@ -13,15 +13,14 @@ from repro.ir import CmpOp, DataType, Dim3, KernelBuilder
 from repro.ir.builder import TID_X
 from repro.ptx import (
     InstrClass,
+    KernelView,
     count_instructions,
     count_regions,
-    expand_dynamic,
-    kernel_has_longer_latency_than_sfu,
     memory_traffic,
     profile_kernel,
 )
-from repro.ptx.analysis import ControlOp
 from tests.conftest import build_saxpy, build_tiled_matmul
+from tests.ptx.oracles import ControlOp, expand_dynamic
 
 F32 = DataType.F32
 
@@ -124,7 +123,7 @@ class TestRegions:
         v = b.rsqrt(2.0)
         b.st(x, TID_X, v)
         kernel = b.finish()
-        assert not kernel_has_longer_latency_than_sfu(kernel)
+        assert not KernelView(kernel).has_long_latency
         assert count_regions(kernel) == 2   # the rsqrt blocks
 
         b = builder()
@@ -133,7 +132,7 @@ class TestRegions:
         v = b.rsqrt(loaded)
         b.st(x, TID_X, v)
         kernel = b.finish()
-        assert kernel_has_longer_latency_than_sfu(kernel)
+        assert KernelView(kernel).has_long_latency
         assert count_regions(kernel) == 2   # only the load blocks
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ptx import emit_ptx
-from repro.ptx.parse import PtxParseError, parse_ptx
+from tests.ptx.parse import PtxParseError, parse_ptx
 from repro.transforms import COMPLETE, standard_cleanup, unroll
 from tests.conftest import build_saxpy, build_tiled_matmul
 

@@ -112,3 +112,18 @@ def test_daemon_cli_cold_warm_restart_and_fast_lane(tmp_path):
     assert lane["stats"]["events_replayed"] == 0, lane["stats"]
     assert lane["stats"]["simulations"] == 0, lane["stats"]
     assert lane["result"] == warm["result"], "fast lane diverged"
+
+
+def test_seeded_genetic_run_local_is_identical_across_reruns_and_pools():
+    """A seeded genetic search, run twice serially and once over a
+    2-worker pool, returns the same ``result`` payload (``stats``
+    legitimately differs by worker count).  Any divergence — an
+    unseeded draw, a timing-dependent RNG consumption order, an
+    unstable sort — fails it."""
+    request = ["run-local", "--app", "matmul", "--strategy", "genetic",
+               "--budget", "16", "--seed", "7"]
+    first = cli(*request)["result"]
+    again = cli(*request)["result"]
+    pooled = cli(*request, "--workers", "2")["result"]
+    assert again == first
+    assert pooled == first
