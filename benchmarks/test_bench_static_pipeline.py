@@ -31,7 +31,11 @@ A second test adds SAD (828 configurations, the paper's largest
 space): a fixed subset, every ``SAD_SUBSET_STRIDE``-th configuration,
 goes through both pipelines with the same bit-identity and Pareto
 asserts, and the full space goes through the optimized pipeline alone.
-Its seconds are recorded under ``sad`` without a gate.
+Its seconds are recorded under ``sad``; absolute seconds are not
+gated, but the ratio of the reference's seconds per configuration on
+the subset to the optimized full space's seconds per configuration
+(``full_space_speedup_per_configuration``) is, against the same
+baseline file.
 
 A micro-benchmark section also reports ``Configuration`` key-lookup
 throughput: the O(1) cached-dict ``__getitem__`` against the linear
@@ -258,6 +262,17 @@ def test_sad_subset_and_full_space_static_stage(monkeypatch):
     for config, result in optimized_results.items():
         assert full_results[config] == result
 
+    # Reference seconds per configuration (the subset stands in for
+    # the space: every SAD_SUBSET_STRIDE-th configuration in space
+    # order) over the optimized full space's.
+    per_configuration = (subset_reference / len(subset)) / (
+        full_seconds / len(configs)
+    )
+    with open(BASELINE_PATH) as handle:
+        baseline = json.load(handle)
+    expected = baseline["sad_full_space"]["speedup_per_configuration"]
+    allowed_fraction = baseline["allowed_fraction"]
+
     _record({"sad": {
         "subset": f"space order, stride {SAD_SUBSET_STRIDE}",
         "subset_configurations": len(subset),
@@ -268,9 +283,18 @@ def test_sad_subset_and_full_space_static_stage(monkeypatch):
         ),
         "full_space_configurations": len(configs),
         "full_space_optimized_seconds": round(full_seconds, 3),
+        "full_space_speedup_per_configuration": round(per_configuration, 2),
+        "baseline_speedup_per_configuration": expected,
+        "gate": f"speedup per configuration >= {allowed_fraction} * baseline",
         "compile_tier": {
             "compile_evaluations": stats.compile_evaluations,
             "compile_hits": stats.compile_hits,
             "static_evaluations": stats.static_evaluations,
         },
     }})
+
+    assert per_configuration >= allowed_fraction * expected, (
+        f"SAD full-space static stage regressed: {per_configuration:.2f}x "
+        f"per configuration vs baseline {expected}x "
+        f"(allowed fraction {allowed_fraction})"
+    )

@@ -92,6 +92,10 @@ class Application(abc.ABC):
         #: built); filled by the fingerprint, read by the compile pass
         #: and the trace
         self._views = ViewCache()
+        #: pre-transform kernels by their build key (see
+        #: :meth:`_shared_baseline`); per instance, so a dropped app
+        #: takes its baselines with it
+        self._baselines: Dict[Any, Kernel] = {}
 
     # ------------------------------------------------------------------
     # Space and kernel generation.
@@ -133,6 +137,19 @@ class Application(abc.ABC):
             source_digest(),
         )
         return hashlib.sha256("\0".join(parts).encode("utf-8")).hexdigest()
+
+    def _shared_baseline(self, *key) -> Kernel:
+        """``self._baseline(*key)``, built once per instance.
+
+        Many configurations transform one pre-transform kernel (matmul
+        builds 6 baselines for its 48 unspilled configurations).  Every
+        transform returns a fresh kernel and never mutates its input,
+        so the memoized baseline is shared safely.
+        """
+        kernel = self._baselines.get(key)
+        if kernel is None:
+            kernel = self._baselines[key] = self._baseline(*key)
+        return kernel
 
     def kernel(self, config: Configuration) -> Kernel:
         """Cached kernel generation.
@@ -456,6 +473,7 @@ class Application(abc.ABC):
         self._time_cache.clear()
         self._sim_cache.clear()
         self._views.clear()
+        self._baselines.clear()
 
     def __getstate__(self) -> dict:
         # Keep pickles (process-pool workers) small and robust:
@@ -467,5 +485,6 @@ class Application(abc.ABC):
         state["_fingerprint_cache"] = {}
         state["_time_cache"] = {}
         state["_views"] = ViewCache()
+        state["_baselines"] = {}
         state["_sim_cache"] = SimulationCache(store=self._sim_cache.store)
         return state

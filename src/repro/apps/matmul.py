@@ -87,7 +87,7 @@ class MatMul(Application):
             return spill_registers(
                 twin, SPILL_COUNT, view=self._views.view(twin)
             )
-        kernel = self._baseline(tile, rect)
+        kernel = self._shared_baseline(tile, rect)
         kernel = unroll(kernel, config["unroll"], label="inner")
         if config["prefetch"]:
             kernel = prefetch_global_loads(kernel, label="ktile")

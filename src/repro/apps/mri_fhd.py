@@ -117,7 +117,7 @@ class MriFhd(Application):
                 self.kernel(config.replace(invocations=1)),
                 name=name, grid_dim=grid,
             )
-        kernel = self._baseline(block)
+        kernel = self._shared_baseline(block)
         kernel = unroll(kernel, config["unroll"], label="samples")
         return standard_cleanup(kernel)
 

@@ -105,7 +105,15 @@ class SumOfAbsoluteDifferences(Application):
         tiling = config["tiling"]
         if per_block % tiling:
             raise ConfigurationError(f"invalid sad config {config}")
-        kernel = self._baseline(per_block, tiling)
+        search = config["unroll_search"]
+        if search > 1 and search >= tiling:
+            # Any factor of at least ``tiling`` (the search loop's trip
+            # count) expands that loop completely: share the build of
+            # the smallest such factor.
+            complete = min(f for f in SEARCH_UNROLLS if 1 < f and tiling <= f)
+            if search != complete:
+                return self.kernel(config.replace(unroll_search=complete))
+        kernel = self._shared_baseline(per_block, tiling)
         kernel = unroll(kernel, config["unroll_cols"], label="cols")
         kernel = unroll(kernel, config["unroll_rows"], label="rows")
         kernel = unroll(kernel, config["unroll_search"], label="search")

@@ -9,10 +9,11 @@ observation that small code changes can nudge register counts.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.cubin.liveness import LiveInterval, live_intervals, max_pressure
+from repro.cubin.liveness import LiveInterval, live_intervals
 from repro.ir.kernel import Kernel
 from repro.ir.values import VirtualRegister
 
@@ -34,30 +35,39 @@ def linear_scan(intervals: List[LiveInterval]) -> RegisterAllocation:
     Registers are unbounded here — per-thread counts beyond the file
     size are legal; they simply make the occupancy calculation refuse
     to place any block (the paper's invalid-executable case).
+
+    ``active`` is a heap of ``(end, physical)`` and ``free`` a heap of
+    physical registers, so each interval costs O(log n): every
+    interval that ended before this one starts is retired, then the
+    lowest free register is taken (a fresh one if none is free).  The
+    same sweep counts the most intervals live at once, which the
+    register count must equal.
     """
     ordered = sorted(intervals, key=lambda iv: (iv.start, iv.end))
     free: List[int] = []
     next_fresh = 0
-    active: List[tuple] = []  # (end, physical)
+    active: List[Tuple[int, int]] = []
     assignment: Dict[VirtualRegister, int] = {}
+    peak = 0
 
     for interval in ordered:
-        still_active = []
-        for end, physical in active:
-            if end < interval.start:
-                free.append(physical)
-            else:
-                still_active.append((end, physical))
-        active = still_active
+        start = interval.start
+        while active and active[0][0] < start:
+            heapq.heappush(free, heapq.heappop(active)[1])
         if free:
-            free.sort()
-            physical = free.pop(0)
+            physical = heapq.heappop(free)
         else:
             physical = next_fresh
             next_fresh += 1
         assignment[interval.register] = physical
-        active.append((interval.end, physical))
+        heapq.heappush(active, (interval.end, physical))
+        # ``active`` now holds exactly the intervals live at ``start``.
+        if len(active) > peak:
+            peak = len(active)
 
+    assert next_fresh == peak, (
+        "linear scan must color interval graphs optimally"
+    )
     return RegisterAllocation(assignment=assignment, registers_used=next_fresh)
 
 
@@ -86,8 +96,4 @@ def allocate_intervals(
             LiveInterval(iv.register, iv.start, iv.end + rng.randint(0, 2))
             for iv in intervals
         ]
-    allocation = linear_scan(intervals)
-    assert allocation.registers_used == max_pressure(intervals), (
-        "linear scan must color interval graphs optimally"
-    )
-    return allocation
+    return linear_scan(intervals)

@@ -10,7 +10,7 @@ use their constant offsets".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.instructions import Instruction, MemRef, Opcode
 from repro.ir.kernel import Kernel
@@ -25,8 +25,8 @@ from repro.ir.values import (
     VirtualRegister,
 )
 from repro.transforms.rewrite import (
+    DefUse,
     clone_kernel,
-    collect_loop_defs,
     collect_uses,
     substitute_value,
 )
@@ -43,14 +43,13 @@ def _is_immutable(value: Value) -> bool:
 
 
 class _Folder:
-    def __init__(self, kernel: Kernel) -> None:
-        # Def counts, and the registers each loop body defines, from
-        # one walk of the input kernel (every loop fold_body enters is
-        # one of its loops).
-        self.body = kernel.body
-        self.defs, self.loop_defs = collect_loop_defs(kernel.body)
-        # Read counts over the whole input kernel, built on first need.
-        self.uses: Optional[Dict[VirtualRegister, int]] = None
+    def __init__(self, summary: DefUse) -> None:
+        # Def counts, and the registers each loop body defines, of the
+        # input kernel (every loop fold_body enters is one of its
+        # loops); its read counts are built on first need.
+        self.summary = summary
+        self.defs = summary.defs
+        self.loop_defs = summary.loop_defs
         # Values known to equal a register (propagation environment).
         self.env: Dict[VirtualRegister, Value] = {}
         # Defining instruction of each single-def register seen so far.
@@ -60,9 +59,13 @@ class _Folder:
         # (scope exit drops def_instr entries only); invalidation
         # re-checks each candidate, so a stale entry is never wrong.
         self.readers: Dict[VirtualRegister, List[VirtualRegister]] = {}
-
-    def _single_def(self, register: VirtualRegister) -> bool:
-        return self.defs.get(register, 0) == 1
+        # Copies re-emitted at a scope's end (see _fold_scoped).
+        self.reemitted: Set[VirtualRegister] = set()
+        # Set when this sweep may leave work for a second one: it
+        # pruned an If arm (dropping defs and reads the sweep counted)
+        # or simplified an instruction reading a re-emitted copy (whose
+        # re-emission counted that read).  See constant_fold_changed.
+        self.unsettled = False
 
     def _fold_scoped(self, body: List[Statement]) -> List[Statement]:
         """Fold a nested body, then drop facts that do not survive it.
@@ -81,13 +84,13 @@ class _Folder:
         dropped = [key for key in self.env if key not in env_before
                    and isinstance(self.env[key], VirtualRegister)]
         if dropped:
-            if self.uses is None:
-                self.uses = collect_uses(self.body)
+            uses = self.summary.uses
             inside = collect_uses(body)
             for key in dropped:
-                if self.uses.get(key, 0) > inside.get(key, 0):
+                if uses.get(key, 0) > inside.get(key, 0):
                     folded.append(Instruction(
                         Opcode.MOV, dest=key, srcs=(self.env[key],)))
+                    self.reemitted.add(key)
                 del self.env[key]
         for key in list(self.def_instr):
             if key not in defs_before:
@@ -107,7 +110,7 @@ class _Folder:
                 # use ahead of the rewrite sees the rewritten value from
                 # the second iteration on.
                 for register in self.loop_defs[id(stmt)]:
-                    if not self._single_def(register):
+                    if self.defs.get(register, 0) != 1:
                         self._invalidate_reads_of(register)
                 result.append(ForLoop(
                     counter=stmt.counter,
@@ -121,6 +124,7 @@ class _Folder:
             elif isinstance(stmt, If):
                 cond = substitute_value(stmt.cond, self.env)
                 if isinstance(cond, Immediate):
+                    self.unsettled = True
                     chosen = stmt.then_body if cond.value else stmt.else_body
                     result.extend(self.fold_body(chosen))
                 else:
@@ -135,9 +139,10 @@ class _Folder:
     def _record_def(self, instr: Instruction) -> None:
         """Remember a single-def register's instruction for address folding."""
         self.def_instr[instr.dest] = instr
-        for value in instr.reads:
-            if isinstance(value, VirtualRegister):
-                self.readers.setdefault(value, []).append(instr.dest)
+        readers = self.readers
+        for value in instr.srcs:
+            if value.__class__ is VirtualRegister:
+                readers.setdefault(value, []).append(instr.dest)
 
     def _invalidate_reads_of(self, register: VirtualRegister) -> None:
         """A multi-def register changed: drop address chains reading it.
@@ -153,34 +158,53 @@ class _Folder:
 
     def _fold_instruction(self, instr: Instruction) -> Optional[Instruction]:
         env = self.env
-        srcs = tuple(substitute_value(s, env) for s in instr.srcs)
+        srcs = instr.srcs
         mem = instr.mem
+        if env:
+            srcs = tuple([
+                env.get(s, s) if s.__class__ is VirtualRegister else s
+                for s in srcs
+            ])
         if mem is not None:
-            mem = self._fold_memref(mem, substitute_value(mem.index, env))
-        if mem is not instr.mem or any(
-            a is not b for a, b in zip(srcs, instr.srcs)
-        ):
+            index = mem.index
+            if env and index.__class__ is VirtualRegister:
+                index = env.get(index, index)
+            mem = self._fold_memref(mem, index)
+        if mem is not instr.mem or (srcs is not instr.srcs and srcs != instr.srcs):
             instr = Instruction(
                 opcode=instr.opcode, dest=instr.dest, srcs=srcs, mem=mem,
                 cmp=instr.cmp, coalesced=instr.coalesced,
             )
-        if instr.dest is not None and not self._single_def(instr.dest):
-            self._invalidate_reads_of(instr.dest)
-
-        if instr.opcode not in _PURE_OPS or instr.dest is None:
+        dest = instr.dest
+        if dest is None:
+            return instr
+        single_def = self.defs.get(dest, 0) == 1
+        if not single_def:
+            self._invalidate_reads_of(dest)
+        if instr.opcode not in _PURE_OPS:
             return instr
 
         # Full evaluation when every operand is an immediate.
-        if srcs and all(isinstance(s, Immediate) for s in srcs):
-            value = eval_op(
-                instr.opcode, instr.dest.dtype,
-                tuple(s.value for s in srcs), cmp=instr.cmp,
-            )
-            return self._bind(instr, Immediate(value, instr.dest.dtype))
+        for value in srcs:
+            if value.__class__ is not Immediate:
+                break
+        else:
+            if srcs:
+                value = eval_op(
+                    instr.opcode, dest.dtype,
+                    tuple([s.value for s in srcs]), cmp=instr.cmp,
+                )
+                return self._bind(instr, Immediate(value, dest.dtype))
 
-        simplified = self._algebraic(instr)
+        simplified = _algebraic(instr)
+        if simplified is instr:
+            if single_def:
+                self._record_def(instr)
+            return instr
+        if self.reemitted and not self.reemitted.isdisjoint(srcs):
+            self.unsettled = True
         if isinstance(simplified, Instruction):
-            if simplified.dest is not None and self._single_def(simplified.dest):
+            if single_def:
                 self._record_def(simplified)
             return simplified
         # The instruction reduced to an existing value.
@@ -188,75 +212,36 @@ class _Folder:
 
     def _bind(self, instr: Instruction, value: Value) -> Optional[Instruction]:
         """Record dest == value; drop the instruction when that is safe."""
-        if self._single_def(instr.dest) and (
+        defs = self.defs
+        if defs.get(instr.dest, 0) == 1 and (
             _is_immutable(value) or (
-                isinstance(value, VirtualRegister) and self._single_def(value)
+                value.__class__ is VirtualRegister and defs.get(value, 0) == 1
             )
         ):
             self.env[instr.dest] = value
             return None
         return Instruction(Opcode.MOV, dest=instr.dest, srcs=(value,))
 
-    def _algebraic(self, instr: Instruction):
-        """Identity simplifications; returns an Instruction or a Value."""
-        op = instr.opcode
-        srcs = instr.srcs
-
-        def is_imm(value: Value, number) -> bool:
-            return isinstance(value, Immediate) and value.value == number
-
-        if op is Opcode.MOV:
-            return srcs[0]
-        if op is Opcode.ADD:
-            if is_imm(srcs[0], 0):
-                return srcs[1]
-            if is_imm(srcs[1], 0):
-                return srcs[0]
-        if op is Opcode.SUB and is_imm(srcs[1], 0):
-            return srcs[0]
-        if op is Opcode.MUL:
-            if is_imm(srcs[0], 1):
-                return srcs[1]
-            if is_imm(srcs[1], 1):
-                return srcs[0]
-            if (is_imm(srcs[0], 0) or is_imm(srcs[1], 0)) and instr.dest.dtype.is_integer:
-                return Immediate(0, instr.dest.dtype)
-        if op is Opcode.MAD:
-            a, b, c = srcs
-            if isinstance(a, Immediate) and isinstance(b, Immediate):
-                product = eval_op(Opcode.MUL, instr.dest.dtype, (a.value, b.value))
-                if product == 0 and instr.dest.dtype.is_integer:
-                    return c
-                return Instruction(
-                    Opcode.ADD, dest=instr.dest,
-                    srcs=(Immediate(product, instr.dest.dtype), c),
-                    coalesced=instr.coalesced,
-                )
-            if is_imm(c, 0) and instr.dest.dtype.is_integer:
-                return Instruction(Opcode.MUL, dest=instr.dest, srcs=(a, b))
-        if op in (Opcode.SHL, Opcode.SHR) and is_imm(srcs[1], 0):
-            return srcs[0]
-        return instr
-
     def _fold_memref(self, mem: MemRef, index: Value) -> MemRef:
         """Chase add-immediate chains from ``index`` into the constant
         offset; ``mem`` itself comes back when nothing folds."""
         offset = mem.offset
+        def_instr = self.def_instr
         while True:
-            if isinstance(index, Immediate):
+            if index.__class__ is Immediate:
                 offset += int(index.value)
                 index = Immediate(0, DataType.S32)
                 break
-            if not isinstance(index, VirtualRegister):
+            if index.__class__ is not VirtualRegister:
                 break
-            definition = self.def_instr.get(index)
+            definition = def_instr.get(index)
             if definition is None or definition.opcode is not Opcode.ADD:
                 break
             a, b = definition.srcs
-            if isinstance(b, Immediate):
+            if b.__class__ is Immediate:
                 offset += int(b.value)
                 index = a
-            elif isinstance(a, Immediate):
+            elif a.__class__ is Immediate:
                 offset += int(a.value)
                 index = b
             else:
@@ -266,12 +251,68 @@ class _Folder:
         return MemRef(mem.base, index, offset)
 
 
+def _is_number(value: Value, number) -> bool:
+    return value.__class__ is Immediate and value.value == number
+
+
+def _algebraic(instr: Instruction):
+    """Identity simplifications; returns an Instruction or a Value.
+
+    ``instr`` itself comes back when no identity applies.  A rewritten
+    instruction is simplified again before it is returned (``mad``
+    becomes an ``add`` or a ``mul`` that may simplify further), so the
+    result is one a second sweep leaves alone.
+    """
+    op = instr.opcode
+    srcs = instr.srcs
+    if op is Opcode.MOV:
+        return srcs[0]
+    if op is Opcode.ADD:
+        if _is_number(srcs[0], 0):
+            return srcs[1]
+        if _is_number(srcs[1], 0):
+            return srcs[0]
+    elif op is Opcode.MUL:
+        if _is_number(srcs[0], 1):
+            return srcs[1]
+        if _is_number(srcs[1], 1):
+            return srcs[0]
+        if ((_is_number(srcs[0], 0) or _is_number(srcs[1], 0))
+                and instr.dest.dtype.is_integer):
+            return Immediate(0, instr.dest.dtype)
+    elif op is Opcode.MAD:
+        a, b, c = srcs
+        dtype = instr.dest.dtype
+        if a.__class__ is Immediate and b.__class__ is Immediate:
+            product = eval_op(Opcode.MUL, dtype, (a.value, b.value))
+            if product == 0 and dtype.is_integer:
+                return c
+            return _algebraic(Instruction(
+                Opcode.ADD, dest=instr.dest,
+                srcs=(Immediate(product, dtype), c),
+                coalesced=instr.coalesced,
+            ))
+        if _is_number(c, 0) and dtype.is_integer:
+            return _algebraic(
+                Instruction(Opcode.MUL, dest=instr.dest, srcs=(a, b))
+            )
+    elif op is Opcode.SUB:
+        if _is_number(srcs[1], 0):
+            return srcs[0]
+    elif op is Opcode.SHL or op is Opcode.SHR:
+        if _is_number(srcs[1], 0):
+            return srcs[0]
+    return instr
+
+
 def constant_fold(kernel: Kernel) -> Kernel:
     """Run folding + propagation + address folding once over a kernel."""
     return constant_fold_changed(kernel)[0]
 
 
-def constant_fold_changed(kernel: Kernel) -> Tuple[Kernel, bool]:
+def constant_fold_changed(
+    kernel: Kernel, summary: Optional[DefUse] = None,
+) -> Tuple[Kernel, bool]:
     """Like :func:`constant_fold`, reporting whether anything changed.
 
     The changed flag is exact — statement dataclasses compare
@@ -279,9 +320,25 @@ def constant_fold_changed(kernel: Kernel) -> Tuple[Kernel, bool]:
     identity — and an unchanged kernel is returned as the *same*
     object, letting the fixpoint driver converge without re-emitting
     PTX (see :func:`repro.transforms.pipeline.standard_cleanup`).
+    ``summary`` is the input's :class:`DefUse`, when the caller has one.
+
+    A changed kernel is a fixpoint of this pass: a sweep applies the
+    propagation environment and the address chains in program order,
+    chases each chain to its end and simplifies each rewritten
+    instruction again, so a second sweep finds nothing new.  The two
+    things a sweep cannot see through — a pruned ``If`` arm, and an
+    instruction reading a copy re-emitted at a scope's end that it
+    simplified — mark the sweep unsettled, and then it is repeated
+    until it changes nothing (no application kernel does either).
     """
-    folder = _Folder(kernel)
+    folder = _Folder(summary if summary is not None else DefUse(kernel.body))
     body = folder.fold_body(kernel.body)
     if body == kernel.body:
         return kernel, False
+    while folder.unsettled:
+        folder = _Folder(DefUse(body))
+        again = folder.fold_body(body)
+        if again == body:
+            break
+        body = again
     return clone_kernel(kernel, body=body), True

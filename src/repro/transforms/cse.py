@@ -10,13 +10,14 @@ keeping the substitution globally sound.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.kernel import Kernel
 from repro.ir.statements import ForLoop, If, Statement
 from repro.ir.values import Value, VirtualRegister
 from repro.transforms.rewrite import (
+    DefUse,
     clone_kernel,
     collect_defs,
     rewrite_instruction,
@@ -28,40 +29,39 @@ _CSE_OPS = {
     if op not in (Opcode.LD, Opcode.ST, Opcode.BAR)
 }
 
+#: what makes two instructions compute the same value
 ExprKey = Tuple
 
 
 class _CSE:
-    def __init__(self, kernel: Kernel) -> None:
-        self.defs = collect_defs(kernel.body)
+    def __init__(self, defs: Dict[VirtualRegister, int]) -> None:
+        self.defs = defs
         self.replacements: Dict[VirtualRegister, Value] = {}
 
-    def _single_def(self, register: VirtualRegister) -> bool:
-        return self.defs.get(register, 0) == 1
-
-    def _key(self, instr: Instruction) -> ExprKey:
-        return (instr.opcode, instr.cmp, instr.srcs)
+    def _eligible(self, instr: Instruction) -> bool:
+        defs = self.defs
+        if instr.opcode not in _CSE_OPS or defs.get(instr.dest, 0) != 1:
+            return False
+        for value in instr.srcs:
+            if value.__class__ is VirtualRegister and defs.get(value, 0) != 1:
+                return False
+        return True
 
     def run_body(self, body: List[Statement], avail: Dict[ExprKey, VirtualRegister]) -> List[Statement]:
         result: List[Statement] = []
+        replacements = self.replacements
         for stmt in body:
             if isinstance(stmt, Instruction):
-                instr = rewrite_instruction(stmt, self.replacements)
+                # Operands are rewritten before the instruction is
+                # keyed, so a sweep's output holds no two equal keys in
+                # one scope: a second sweep finds nothing to share.
+                instr = rewrite_instruction(stmt, replacements)
                 key = None
-                eligible = (
-                    instr.opcode in _CSE_OPS
-                    and instr.dest is not None
-                    and self._single_def(instr.dest)
-                    and all(
-                        not isinstance(s, VirtualRegister) or self._single_def(s)
-                        for s in instr.srcs
-                    )
-                )
-                if eligible:
-                    key = self._key(instr)
+                if instr.dest is not None and self._eligible(instr):
+                    key = (instr.opcode, instr.cmp, instr.srcs)
                     existing = avail.get(key)
                     if existing is not None:
-                        self.replacements[instr.dest] = existing
+                        replacements[instr.dest] = existing
                         continue
                 result.append(instr)
                 if key is not None:
@@ -69,9 +69,9 @@ class _CSE:
             elif isinstance(stmt, ForLoop):
                 result.append(ForLoop(
                     counter=stmt.counter,
-                    start=substitute_value(stmt.start, self.replacements),
-                    stop=substitute_value(stmt.stop, self.replacements),
-                    step=substitute_value(stmt.step, self.replacements),
+                    start=substitute_value(stmt.start, replacements),
+                    stop=substitute_value(stmt.stop, replacements),
+                    step=substitute_value(stmt.step, replacements),
                     # Nested scope: expressions computed inside a loop
                     # iteration must not satisfy later iterations or
                     # post-loop code (fresh table), but outer
@@ -82,7 +82,7 @@ class _CSE:
                 ))
             elif isinstance(stmt, If):
                 result.append(If(
-                    cond=substitute_value(stmt.cond, self.replacements),
+                    cond=substitute_value(stmt.cond, replacements),
                     then_body=self.run_body(stmt.then_body, dict(avail)),
                     else_body=self.run_body(stmt.else_body, dict(avail)),
                     taken_fraction=stmt.taken_fraction,
@@ -96,7 +96,7 @@ def eliminate_common_subexpressions(kernel: Kernel) -> Kernel:
 
 
 def eliminate_common_subexpressions_changed(
-    kernel: Kernel,
+    kernel: Kernel, summary: Optional[DefUse] = None,
 ) -> Tuple[Kernel, bool]:
     """Like :func:`eliminate_common_subexpressions`, reporting change.
 
@@ -104,8 +104,11 @@ def eliminate_common_subexpressions_changed(
     (every drop records one, and every recorded replacement drops an
     instruction); the structural comparison confirms that cheaply and
     keeps the flag exact even if the invariant ever loosens.
+    ``summary`` is the input's :class:`DefUse`, when the caller has one.
+    A changed kernel is a fixpoint of this pass (see ``run_body``).
     """
-    cse = _CSE(kernel)
+    defs = summary.defs if summary is not None else collect_defs(kernel.body)
+    cse = _CSE(defs)
     body = cse.run_body(kernel.body, {})
     if not cse.replacements and body == kernel.body:
         return kernel, False

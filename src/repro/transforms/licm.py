@@ -8,13 +8,13 @@ operations are side-effect free in our model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.kernel import Kernel
 from repro.ir.statements import ForLoop, If, Statement
 from repro.ir.values import VirtualRegister
-from repro.transforms.rewrite import clone_kernel, collect_loop_defs
+from repro.transforms.rewrite import DefUse, clone_kernel
 
 _HOISTABLE = {
     op for op in Opcode if op not in (Opcode.LD, Opcode.ST, Opcode.BAR)
@@ -110,12 +110,21 @@ def hoist_loop_invariants(kernel: Kernel) -> Kernel:
     return hoist_loop_invariants_changed(kernel)[0]
 
 
-def hoist_loop_invariants_changed(kernel: Kernel) -> Tuple[Kernel, bool]:
+def hoist_loop_invariants_changed(
+    kernel: Kernel, summary: Optional[DefUse] = None,
+) -> Tuple[Kernel, bool]:
     """Like :func:`hoist_loop_invariants`, reporting whether any
     instruction moved (structural comparison — exact, and an unchanged
-    kernel is returned as the same object)."""
-    kernel_defs, loop_defs = collect_loop_defs(kernel.body)
-    body = _process_body(kernel.body, kernel_defs, loop_defs)
+    kernel is returned as the same object).  ``summary`` is the input's
+    :class:`DefUse`, when the caller has one.
+
+    A changed kernel is a fixpoint of this pass: each loop is hoisted
+    to its own fixpoint, inner loops first, so whatever an inner loop
+    gives up has already been offered to every loop around it.
+    """
+    if summary is None:
+        summary = DefUse(kernel.body)
+    body = _process_body(kernel.body, summary.defs, summary.loop_defs)
     if body == kernel.body:
         return kernel, False
     return clone_kernel(kernel, body=body), True

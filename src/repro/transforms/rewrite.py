@@ -192,6 +192,45 @@ def collect_uses(body: List[Statement]) -> Dict[VirtualRegister, int]:
     return counts
 
 
+class DefUse:
+    """Def/use facts of one kernel body, each built on its first read.
+
+    ``defs`` (def counts) and ``loop_defs`` (the registers each loop's
+    body defines, keyed by ``id(loop)``) come from one
+    :func:`collect_loop_defs` walk; ``uses`` (read counts) from one
+    :func:`collect_uses` walk.  ``standard_cleanup`` keeps one summary
+    per kernel object it hands between passes, so every pass applied
+    to that object reads the same walks instead of making its own.
+    The facts hold only while ``body`` is alive and unmodified, which
+    is always the case for a kernel the passes produced: they never
+    mutate their input.
+    """
+
+    __slots__ = ("body", "_defs", "_loop_defs", "_uses")
+
+    def __init__(self, body: List[Statement]) -> None:
+        self.body = body
+        self._defs = self._loop_defs = self._uses = None
+
+    @property
+    def defs(self) -> Dict[VirtualRegister, int]:
+        if self._defs is None:
+            self._defs, self._loop_defs = collect_loop_defs(self.body)
+        return self._defs
+
+    @property
+    def loop_defs(self) -> Dict[int, Set[VirtualRegister]]:
+        if self._loop_defs is None:
+            self._defs, self._loop_defs = collect_loop_defs(self.body)
+        return self._loop_defs
+
+    @property
+    def uses(self) -> Dict[VirtualRegister, int]:
+        if self._uses is None:
+            self._uses = collect_uses(self.body)
+        return self._uses
+
+
 def registers_read_before_write(body: List[Statement]) -> Set[VirtualRegister]:
     """Registers whose first access in a body is a read.
 

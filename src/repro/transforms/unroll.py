@@ -186,11 +186,13 @@ def unroll(
     With ``label`` given, only loops carrying that label are unrolled;
     otherwise every innermost statically-counted loop is.  A remainder
     loop is fully expanded when the factor does not divide the trip
-    count.
+    count.  A factor of 1 returns ``kernel`` itself.
     """
     _check_factor(factor)
     if factor == 1:
-        return clone_kernel(kernel)
+        # Passes never mutate their input, so the kernel itself stands
+        # for its unrolled-by-one copy.
+        return kernel
     kernel_defs = collect_defs(kernel.body)
     names = FreshNames("u")
     body = _rewrite_body(kernel.body, factor, label, kernel_defs, names)

@@ -31,7 +31,28 @@ class TestCaching:
         assert not app._fingerprint_cache
         assert not app._time_cache
         assert not app._kernel_cache
+        assert not app._baselines
         assert app.sim_cache.counters()["compile_evaluations"] == 0
+
+    def test_baselines_are_built_once_per_instance(self):
+        import gc
+        import pickle
+        import weakref
+
+        from repro.apps import MatMul
+        from repro.tuning import Configuration
+
+        app = MatMul(n=64)
+        for unroll in (1, 2, 4):
+            app.kernel(Configuration({"tile": 8, "rect": 2, "unroll": unroll,
+                                      "prefetch": False, "spill": False}))
+        assert list(app._baselines) == [(8, 2)]
+        assert not pickle.loads(pickle.dumps(app))._baselines
+        # The memo lives on the instance: a dropped app is freed.
+        alive = weakref.ref(app)
+        del app
+        gc.collect()
+        assert alive() is None
 
 
 class TestRunConfig:

@@ -105,3 +105,35 @@ class TestPaperFacts:
             except LaunchError:
                 continue
         assert max(times) / min(times) > 2.0
+
+
+class TestBuildSharing:
+    """Search unroll factors that expand the search loop completely
+    share one build, and the shared kernel is the one each would
+    build on its own."""
+
+    def test_complete_search_unrolls_share_the_smallest_factors_build(self):
+        from repro.transforms import standard_cleanup, unroll
+
+        app = SumOfAbsoluteDifferences()
+        shared = 0
+        for per_block, tiling in ((64, 1), (64, 2), (128, 4), (256, 8)):
+            kernels = {}
+            for search in (1, 2, 4, 8):
+                config = Configuration({
+                    "positions_per_block": per_block, "tiling": tiling,
+                    "unroll_search": search, "unroll_rows": 2,
+                    "unroll_cols": 4,
+                })
+                kernels[search] = app.kernel(config)
+                scratch = app._baseline(per_block, tiling)
+                for factor, label in ((4, "cols"), (2, "rows"),
+                                      (search, "search")):
+                    scratch = unroll(scratch, factor, label=label)
+                assert kernels[search] == standard_cleanup(scratch)
+            complete = [f for f in (2, 4, 8) if f >= tiling]
+            for factor in complete:
+                assert kernels[factor] is kernels[complete[0]]
+                shared += factor != complete[0]
+            assert kernels[1] is not kernels[complete[0]]
+        assert shared == 2 + 2 + 1

@@ -8,6 +8,11 @@ runs a second full analysis even for kernels without a barrier.
 ``cubin_registers_reference`` is the register count ``cubin_info``
 derived from them (two analyses per kernel).  tests/cubin/
 test_shared_liveness.py checks the production analysis against these.
+
+``linear_scan_reference`` is linear scan as it was before its heaps:
+it rescans every active interval and re-sorts the free registers for
+each interval; tests/cubin/test_regalloc.py checks that the heap
+version assigns the same registers.
 """
 
 from __future__ import annotations
@@ -201,6 +206,34 @@ def pipeline_register_pressure_reference(kernel: Kernel, global_load_dests=None)
             continue
         pressure += len(spanning) + len(in_flight_loads)
     return pressure
+
+
+def linear_scan_reference(
+    intervals: List[LiveInterval],
+) -> Tuple[Dict[VirtualRegister, int], int]:
+    """``(assignment, registers used)`` by the quadratic linear scan."""
+    ordered = sorted(intervals, key=lambda iv: (iv.start, iv.end))
+    free: List[int] = []
+    next_fresh = 0
+    active: List[tuple] = []  # (end, physical)
+    assignment: Dict[VirtualRegister, int] = {}
+    for interval in ordered:
+        still_active = []
+        for end, physical in active:
+            if end < interval.start:
+                free.append(physical)
+            else:
+                still_active.append((end, physical))
+        active = still_active
+        if free:
+            free.sort()
+            physical = free.pop(0)
+        else:
+            physical = next_fresh
+            next_fresh += 1
+        assignment[interval.register] = physical
+        active.append((interval.end, physical))
+    return assignment, next_fresh
 
 
 def cubin_registers_reference(kernel: Kernel) -> int:

@@ -8,10 +8,11 @@ of simultaneously-live intervals.
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cubin import allocate, linear_scan, max_pressure
+from repro.cubin import allocate, linear_scan, live_intervals, max_pressure
 from repro.cubin.liveness import LiveInterval
 from repro.ir import DataType, VirtualRegister
 from tests.conftest import build_tiled_matmul
+from tests.cubin.oracles import linear_scan_reference
 
 F32 = DataType.F32
 
@@ -60,6 +61,19 @@ class TestLinearScan:
         ),
         max_size=40,
     ))
+    def test_same_assignment_as_quadratic_scan(self, ranges):
+        intervals = make_intervals(ranges)
+        allocation = linear_scan(intervals)
+        assert (allocation.assignment, allocation.registers_used) == (
+            linear_scan_reference(intervals)
+        )
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 50), st.integers(0, 50)).map(
+            lambda pair: (min(pair), max(pair))
+        ),
+        max_size=40,
+    ))
     def test_no_two_overlapping_intervals_share(self, ranges):
         intervals = make_intervals(ranges)
         allocation = linear_scan(intervals)
@@ -89,3 +103,22 @@ class TestAllocate:
         }
         assert all(count >= baseline for count in perturbed)
         assert max(perturbed) > baseline
+
+    def test_every_app_kernel_allocates_at_max_pressure(self):
+        # An independent count (the sorted endpoint sweep of
+        # max_pressure) against the allocation, on every configuration
+        # of each application's test instance.
+        from repro.apps import all_applications
+
+        checked = 0
+        for app in all_applications():
+            small = app.test_instance()
+            for config in small.space():
+                intervals = live_intervals(small.kernel(config))
+                allocation = allocate(small.kernel(config))
+                assert allocation.registers_used == max_pressure(intervals)
+                assert allocation.assignment == linear_scan_reference(
+                    intervals
+                )[0]
+                checked += 1
+        assert checked > 100

@@ -15,14 +15,21 @@ generate:
 * barriers around shared-memory store/load phases (outside branches:
   a barrier under a divergent ``If`` would hang a real block);
 * global loads and stores, coalesced and not; texture and constant
-  loads; local stores and loads; SFU ops.
+  loads; local stores and loads; SFU ops;
+* add-immediate address chains read inside an ``If`` and again after
+  it, the register under one of them rewritten inside the ``If``;
+* add-immediate address arithmetic feeding shared-memory indices, at
+  top level and from a loop counter (the shape matmul's unrolled inner
+  product folds into constant offsets).
 
 Every kernel passes :func:`repro.ir.validate`: registers are defined
 lexically before they are read, and a value made inside a loop or
 branch is only read inside it (a copy read after its loop is
 initialized before the loop).  Indices stay inside the declared arrays
 (``tid.x`` or ``2 * tid.x`` into arrays of ``2 * BLOCK`` elements,
-shared and local indices within bounds) and SFU operands are at least
+address chains at most ``tid.x + 15``, shared and local indices
+within bounds; every shared read of another thread's element sits
+between barriers outside any branch) and SFU operands are at least
 1, so the kernels also run in the functional interpreters; no two
 threads of a block write one element, so the two interpreters agree
 (to their SFU rounding; see tests/ir/test_kernels.py).
@@ -50,7 +57,7 @@ TRIPS = (0, 1, 2, 3, 4, 7)
 TAKEN_FRACTIONS = (0.0, 0.3, 1.0)
 
 _LEAVES = ("alu", "alu", "sfu", "gload", "gstore", "texture", "constant",
-           "local", "shared_phase")
+           "local", "shared_phase", "chain_if", "shared_index")
 
 
 def _plan(depth: int):
@@ -67,7 +74,7 @@ def _plan(depth: int):
         st.just("loop"),
         st.sampled_from(TRIPS),
         st.sampled_from(("static", "register")),
-        st.sampled_from(("plain", "accumulate", "copy")),
+        st.sampled_from(("plain", "accumulate", "copy", "shared_index")),
         inner,
     )
     branch = st.tuples(
@@ -95,6 +102,8 @@ class _Materializer:
         self.scratch = b.local("scratch", F32, LOCAL)
         self.wide = b.mul(TID_X, 2)
         self.shifted = b.rem(b.add(TID_X, 1), BLOCK)
+        #: base of shared indices that add up to BLOCK // 2 - 1 more
+        self.half = b.rem(TID_X, BLOCK // 2)
 
     def body(self, plans, values, in_branch: bool = False) -> list:
         """Emit ``plans``; returns the values readable after them."""
@@ -146,15 +155,42 @@ class _Materializer:
         if kind == "local":
             b.st(self.scratch, choice % LOCAL, a)
             return b.ld(self.scratch, (choice + int(flag)) % LOCAL)
-        # shared_phase: store, barrier, load a neighbour, barrier; in a
-        # branch, a thread reads back its own element instead.
+        if kind == "chain_if":
+            return self.chain_if(choice, flag)
+        # shared_phase and shared_index: store, barrier, load a
+        # neighbour, barrier; in a branch, a thread reads back its own
+        # element instead.
         b.st(self.tile, TID_X, a)
         if in_branch:
             return b.ld(self.tile, TID_X)
         b.bar()
-        loaded = b.ld(self.tile, self.shifted if flag else TID_X)
+        if kind == "shared_index":
+            index = b.add(self.half, choice % 8)
+            loaded = b.ld(self.tile, index)
+            if flag:
+                further = b.add(index, BLOCK // 2 - 8)
+                loaded = b.add(loaded, b.ld(self.tile, further))
+        else:
+            loaded = b.ld(self.tile, self.shifted if flag else TID_X)
         b.bar()
         return loaded
+
+    def chain_if(self, choice, flag):
+        """Address chains read inside an ``If`` and after it; with
+        ``flag``, the register under one chain is rewritten in between
+        its two reads inside the ``If``."""
+        b = self.b
+        base = b.mov(TID_X, dtype=S32)
+        shifted = b.add(base, choice % 8)
+        steady = b.add(TID_X, 8 + choice)
+        pred = b.setp(CmpOp.LT, TID_X, BLOCK // 2)
+        with b.if_(pred, taken_fraction=TAKEN_FRACTIONS[choice % 3]):
+            b.st(self.dst, TID_X, b.ld(self.src, shifted))
+            if flag:
+                b.add(base, 1, dest=base)
+            b.st(self.dst, TID_X, b.ld(self.src, shifted))
+        after = b.add(b.ld(self.src, shifted), b.ld(self.src, steady))
+        return b.add(after, b.ld(self.src, base))
 
     def loop(self, plan, values, in_branch: bool) -> None:
         b = self.b
@@ -168,6 +204,9 @@ class _Materializer:
             with header:
                 self.body(inner, values, in_branch)
             return
+        if role == "shared_index" and not in_branch:
+            self.shared_scan(header, inner, values)
+            return
         carried = b.mov(0.0)
         with header:
             last = self.body(inner, values + [carried], in_branch)[-1]
@@ -177,6 +216,23 @@ class _Materializer:
                 b.mov(last, dest=carried)
         # The carried value (an accumulator, or a copy made inside the
         # loop) is read after it.
+        b.st(self.dst, TID_X, carried)
+        values.append(carried)
+
+    def shared_scan(self, header, inner, values) -> None:
+        """Sum ``tile[half + i]`` over the loop's counter ``i``: the
+        index is counter-fed address arithmetic, which unrolling turns
+        into add-immediate chains that fold into constant offsets."""
+        b = self.b
+        b.st(self.tile, TID_X, self.pick(values, len(inner)))
+        b.bar()
+        carried = b.mov(0.0)
+        with header as i:
+            self.body(inner, values + [carried])
+            b.bar()
+            loaded = b.ld(self.tile, b.add(self.half, i))
+            b.add(carried, loaded, dest=carried)
+            b.bar()
         b.st(self.dst, TID_X, carried)
         values.append(carried)
 

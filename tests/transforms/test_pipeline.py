@@ -1,6 +1,7 @@
 """The standard cleanup pipeline."""
 
 import numpy as np
+import pytest
 
 from repro.ptx import count_instructions, emit_ptx
 from repro.transforms import COMPLETE, standard_cleanup, unroll
@@ -172,13 +173,16 @@ def _counted_round(counts):
     from repro.transforms import pipeline
 
     wrapped = {}
-    for run_pass, _ in pipeline._ROUND:
+    for run_pass, _, _ in pipeline._ROUND:
         if run_pass not in wrapped:
-            def counting(kernel, _run=run_pass):
+            def counting(kernel, summary=None, _run=run_pass):
                 counts[0] += 1
-                return _run(kernel)
+                return _run(kernel, summary)
             wrapped[run_pass] = counting
-    return tuple((wrapped[run_pass], own) for run_pass, own in pipeline._ROUND)
+    return tuple(
+        (wrapped[run_pass], own, keeps)
+        for run_pass, own, keeps in pipeline._ROUND
+    )
 
 
 def _plain_rounds(kernel, round_, max_rounds):
@@ -186,11 +190,32 @@ def _plain_rounds(kernel, round_, max_rounds):
     one changes nothing, at most ``max_rounds``."""
     for _ in range(max_rounds):
         changed = False
-        for run_pass, _ in round_:
+        for run_pass, _, _ in round_:
             kernel, pass_changed = run_pass(kernel)
             changed = changed or pass_changed
         if not changed:
             break
+    return kernel
+
+
+def _reset_driver(kernel, round_, max_rounds):
+    """The certifying driver before the pass algebra: any change
+    resets every certificate, and only a dead-code change certifies
+    itself (the second flag of each ``round_`` entry is ignored)."""
+    distinct = {run_pass for run_pass, _, _ in round_}
+    dead_code = round_[-1][0]
+    certified = set()
+    for _ in range(max_rounds):
+        for run_pass, _, _ in round_:
+            if run_pass in certified:
+                continue
+            kernel, changed = run_pass(kernel)
+            if changed:
+                certified = {run_pass} if run_pass is dead_code else set()
+            else:
+                certified.add(run_pass)
+                if len(certified) == len(distinct):
+                    return kernel
     return kernel
 
 
@@ -218,6 +243,29 @@ class TestCertifiedFixpoint:
             assert spent <= plain_spent
             strictly_fewer += spent < plain_spent
         assert strictly_fewer >= 1
+
+    def test_pass_algebra_applies_fewer_passes_than_resetting(self, monkeypatch):
+        # Self-certified fold, CSE and LICM changes and certificate-
+        # keeping dead-code changes skip the re-confirming runs the
+        # resetting driver made.  Seed-0 prune-cold's 145 full-size
+        # cleanups took 826 applications before, 621 now.
+        from repro.transforms import pipeline
+
+        inputs = _cleanup_inputs(monkeypatch)
+        algebra, resetting = [0], [0]
+        algebra_round = _counted_round(algebra)
+        resetting_round = _counted_round(resetting)
+        for kernel in inputs:
+            before, before_resetting = algebra[0], resetting[0]
+            with monkeypatch.context() as patched:
+                patched.setattr(pipeline, "_ROUND", algebra_round)
+                settled = standard_cleanup(kernel)
+            expected = _reset_driver(
+                kernel, resetting_round, pipeline._MAX_ROUNDS
+            )
+            assert settled == expected
+            assert algebra[0] - before <= resetting[0] - before_resetting
+        assert algebra[0] <= 0.85 * resetting[0], (algebra[0], resetting[0])
 
     def test_app_cleanup_inputs_bit_identical_to_reference(self, monkeypatch):
         from tests.transforms.oracles import standard_cleanup_reference
@@ -251,17 +299,17 @@ class TestCertifiedFixpoint:
         from repro.transforms import pipeline
         from repro.transforms.rewrite import clone_kernel
 
-        def drop_first(kernel):
+        def drop_first(kernel, summary=None):
             if len(kernel.body) <= 3:
                 return kernel, False
             return clone_kernel(kernel, body=kernel.body[1:]), True
 
-        def unchanged(kernel):
+        def unchanged(kernel, summary=None):
             return kernel, False
 
         kernel = unroll(build_tiled_matmul(), COMPLETE, label="inner")
         assert len(kernel.body) > 6
-        round_ = ((drop_first, False), (unchanged, False))
+        round_ = ((drop_first, False, False), (unchanged, False, False))
         monkeypatch.setattr(pipeline, "_ROUND", round_)
         assert len(standard_cleanup(kernel).body) == 3
         monkeypatch.setattr(pipeline, "_MAX_ROUNDS", 2)
@@ -276,3 +324,49 @@ class TestCertifiedFixpoint:
                 again, changed = eliminate_dead_code_changed(swept)
                 assert changed is False
                 assert again is swept
+
+
+#: every SAD_STRIDE-th configuration of SAD's full space is checked in
+#: tier-1; the deep hypothesis profile (nightly) checks all 828
+SAD_STRIDE = 23
+
+
+class TestFullSpacesAgainstReference:
+    """Every cleanup the full-size applications run, against the
+    PTX-comparing oracle: all of matmul, CP and MRI-FHD, and SAD at
+    ``SAD_STRIDE`` (every configuration under the deep profile)."""
+
+    def _check_space(self, app, monkeypatch, stride=1):
+        from tests.transforms.oracles import standard_cleanup_reference
+
+        checked = [0]
+
+        def checking(kernel):
+            settled = standard_cleanup(kernel)
+            assert settled == standard_cleanup_reference(kernel)
+            checked[0] += 1
+            return settled
+
+        with monkeypatch.context() as patched:
+            for module in _APP_MODULES:
+                patched.setattr(f"{module}.standard_cleanup", checking)
+            for config in list(app.space())[::stride]:
+                app.kernel(config)
+        return checked[0]
+
+    @pytest.mark.parametrize("name", ["matmul", "cp", "mri-fhd"])
+    def test_every_configuration(self, name, monkeypatch):
+        from repro.apps import all_applications
+
+        app = {a.name: a for a in all_applications()}[name]
+        assert self._check_space(app, monkeypatch) >= 20
+
+    def test_sad_at_a_stride(self, monkeypatch):
+        from hypothesis import settings
+
+        from repro.apps import SumOfAbsoluteDifferences
+
+        deep = settings.default.max_examples >= 1000
+        checked = self._check_space(SumOfAbsoluteDifferences(), monkeypatch,
+                                    stride=1 if deep else SAD_STRIDE)
+        assert checked >= 20
