@@ -203,13 +203,14 @@ class Application(abc.ABC):
 
     def trace_group_key(self, config: Configuration):
         """Batching key: configurations with equal keys share a trace
-        program, so the engine may ship them to the scheduler as one
-        group replayed through :meth:`simulate_group` (one compiled
-        trace, one pool task).  ``None`` (the default) means "no
-        grouping known" — every configuration is dispatched alone.
+        program, so the engine measures them as one task: one pool
+        dispatch, in which every configuration after the first finds
+        its trace (and any SM replay it shares) in that process's
+        ``sim_cache``.  ``None`` (the default) means "no grouping
+        known" — every configuration is a task of its own.
         Applications whose spaces contain parameter axes that do not
         change the per-launch kernel body override this (MRI-FHD's
-        invocation split).  Keys must be hashable and picklable.
+        invocation split).  Keys must be hashable.
         """
         del config
         return None
@@ -351,38 +352,6 @@ class Application(abc.ABC):
             )
         self._time_cache.setdefault(config, self._total_seconds(config, result))
         return result
-
-    def simulate_group(self, configs) -> list:
-        """:meth:`simulate` over configurations that (per
-        :meth:`trace_group_key`) share a trace program.
-
-        Returns the same seconds, and increments the same cache
-        counters, as calling :meth:`simulate` on each configuration in
-        order — pinned by tests/sim/test_batch_replay.py — while
-        every replay of one trace object shares a single compiled
-        linearization through ``simulate_kernel``'s ``compiled_cache``.
-        """
-        pending = [c for c in configs if c not in self._time_cache]
-        if pending:
-            compiled_cache: dict = {}
-            with span("app.simulate_group", cat="app", app=self.name,
-                      group_size=len(pending)):
-                results = []
-                for config in pending:
-                    kernel, launch = self._launch_for(config)
-                    results.append(simulate_kernel(
-                        kernel, self.effective_sim_config(config),
-                        resources=self._resources_for(config),
-                        cache=self._sim_cache,
-                        compiled_cache=compiled_cache,
-                        launch=launch,
-                        views=self._views,
-                    ))
-            for config, result in zip(pending, results):
-                self._time_cache.setdefault(
-                    config, self._total_seconds(config, result)
-                )
-        return [self._time_cache[config] for config in configs]
 
     def search_engine(self, workers: Optional[int] = 1,
                       retry_policy=None, fault_spec: Optional[str] = None,

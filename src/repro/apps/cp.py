@@ -171,8 +171,3 @@ class CoulombicPotential(Application):
 
     def default_configuration(self) -> Configuration:
         return Configuration({"block": 128, "tiling": 1, "coalesce_output": True})
-
-
-def expected_invalid_configurations() -> int:
-    """The heavy-register configurations that cannot launch (38 = 40 - 2)."""
-    return 2

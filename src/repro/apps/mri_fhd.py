@@ -125,7 +125,7 @@ class MriFhd(Application):
         # The invocation split changes only the grid (voxels per
         # launch); the per-launch kernel body — and therefore the
         # trace program — is a function of (block, unroll) alone, so
-        # all seven splits of a pair batch into one replay group.
+        # all seven splits of a pair form one measurement task.
         return (config["block"], config["unroll"])
 
     def _launch(self, block: int, invocations: int) -> Tuple[str, Dim3]:

@@ -14,7 +14,7 @@ rows, block columns), and work per thread block.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -220,8 +220,3 @@ class SumOfAbsoluteDifferences(Application):
             "positions_per_block": 256, "tiling": 4,
             "unroll_search": 1, "unroll_rows": 1, "unroll_cols": 1,
         })
-
-
-def unroll_labels() -> List[str]:
-    """The three unrollable loops of Table 4."""
-    return ["search", "rows", "cols"]

@@ -26,7 +26,6 @@ from repro.arch.occupancy import LaunchError
 from repro.obs.trace import span
 from repro.tuning.engine import EngineStats, ExecutionEngine
 from repro.tuning.search import (
-    EvaluatedConfig,
     SearchResult,
     full_exploration,
     pareto_search,
@@ -130,9 +129,6 @@ class AppExperiment:
             return self.app.simulate(hand) / self.exhaustive.best.seconds
         except LaunchError:
             return float("nan")
-
-    def timed_entries(self) -> List[EvaluatedConfig]:
-        return self.exhaustive.timed
 
 
 def format_percent(value: float, width: int = 5, precision: int = 1) -> str:

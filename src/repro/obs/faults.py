@@ -54,9 +54,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Stage names used by the scheduler (and the spec grammar).
 SIMULATE_STAGE = "sim"
-SIMULATE_GROUP_STAGE = "sim_group"
 STATIC_STAGE = "static"
-_STAGES = (SIMULATE_STAGE, SIMULATE_GROUP_STAGE, STATIC_STAGE)
+_STAGES = (SIMULATE_STAGE, STATIC_STAGE)
 
 #: Exit status used by ``kill`` faults — distinctive in ``ps``/logs.
 KILL_EXIT_CODE = 57
@@ -303,7 +302,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpecError",
     "KILL_EXIT_CODE",
-    "SIMULATE_GROUP_STAGE",
     "SIMULATE_STAGE",
     "STATIC_STAGE",
 ]

@@ -3,7 +3,6 @@
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.sim.fingerprint import SimulationCache, kernel_fingerprint
 from repro.sim.gpu import SimulationResult, simulate_kernel, simulate_seconds
-from repro.sim.memory_system import MemorySystem
 from repro.sim.sm import SimulationDeadlock, SMResult, simulate_sm
 from repro.sim.trace import (
     BARRIER,
@@ -21,7 +20,6 @@ __all__ = [
     "COMPUTE",
     "DEFAULT_SIM_CONFIG",
     "LOAD",
-    "MemorySystem",
     "SFU",
     "STORE",
     "SMResult",

@@ -22,7 +22,7 @@ from repro.obs.trace import span
 from repro.ptx.view import ViewCache
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.sim.fingerprint import Launch, SimulationCache, kernel_fingerprint
-from repro.sim.sm import SMResult, compile_trace, simulate_sm
+from repro.sim.sm import SMResult, simulate_sm
 from repro.sim.trace import build_trace
 
 
@@ -50,7 +50,6 @@ def simulate_kernel(
     config: SimConfig = DEFAULT_SIM_CONFIG,
     resources: Optional[ResourceUsage] = None,
     cache: Optional[SimulationCache] = None,
-    compiled_cache: Optional[dict] = None,
     launch: Optional[Launch] = None,
     views: Optional[ViewCache] = None,
 ) -> SimulationResult:
@@ -67,12 +66,6 @@ def simulate_kernel(
     with the same post-transform code shape was simulated before.
     Only ``blocks_per_sm_total`` — the single grid-dependent factor —
     is recomputed per call, so cache hits are exact, not approximate.
-
-    ``compiled_cache`` lets a grouped caller (see
-    :meth:`repro.apps.base.Application.simulate_group`) share one
-    :func:`~repro.sim.sm.compile_trace` linearization across every
-    replay of the same trace object; replay results are bit-identical
-    with or without it.
 
     ``launch`` (with ``cache``) describes the kernel by its fingerprint,
     name and block count, so the kernel itself is needed only when a
@@ -126,25 +119,12 @@ def simulate_kernel(
     if fingerprint is not None:
         sm_result = cache.lookup_sm(fingerprint, blocks_to_sample)
     if sm_result is None:
-        compiled = None
-        if compiled_cache is not None:
-            # Keyed on trace identity (the entry holds the trace, so
-            # the id cannot be recycled while the cache lives); the
-            # fingerprint tier already hands equal-fingerprint kernels
-            # the same trace object.
-            entry = compiled_cache.get(id(trace))
-            if entry is None:
-                compiled = compile_trace(trace, config)
-                compiled_cache[id(trace)] = (trace, compiled)
-            else:
-                compiled = entry[1]
         sm_result = simulate_sm(
             trace=trace,
             warps_per_block=occupancy.warps_per_block,
             blocks_resident=occupancy.blocks_per_sm,
             total_blocks=blocks_to_sample,
             config=config,
-            compiled=compiled,
         )
         if fingerprint is not None:
             cache.store_sm(fingerprint, blocks_to_sample, sm_result)

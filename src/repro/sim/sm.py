@@ -33,7 +33,7 @@ test pins the equivalence):
   ``(ready_at, arrival)`` order of the single-heap loop — ties between
   warps ready at the same cycle always go to the warp queued first;
 * the DRAM token bucket is inlined (same arithmetic, same order, as
-  :class:`~repro.sim.memory_system.MemorySystem`);
+  the oracle's ``MemorySystem`` in ``tests/sim/memory_system.py``);
 * a warp that is strictly the earliest runnable keeps the issue port
   with no queue round-trip at all;
 * once every resident warp is inside one repeated loop record and the
@@ -387,19 +387,15 @@ def simulate_sm(
     blocks_resident: int,
     total_blocks: int,
     config: SimConfig,
-    compiled: Optional[CompiledTrace] = None,
 ) -> SMResult:
     """Replay ``total_blocks`` copies of a block's warps on one SM.
 
     ``blocks_resident`` blocks run concurrently (B_SM); a finished
     block's slot is refilled immediately, as the runtime does.
-    ``compiled`` lets a batch caller share one :func:`compile_trace`
-    across many replays of the same trace program.
     """
     if total_blocks < blocks_resident:
         blocks_resident = total_blocks
-    if compiled is None:
-        compiled = compile_trace(trace, config)
+    compiled = compile_trace(trace, config)
 
     # Tracing costs one flag check when disabled; the replay loop
     # itself is never instrumented (see repro.obs.trace).

@@ -21,10 +21,8 @@ from repro.store.disk import (
     STORE_COUNTERS,
     STORE_ENV,
     STORE_MAX_MB_ENV,
-    STORE_VERIFY_ENV,
     TIERS,
     TRACE_TIER,
-    VERIFY_POLICIES,
     resolve_store,
 )
 
@@ -41,10 +39,8 @@ __all__ = [
     "STORE_COUNTERS",
     "STORE_ENV",
     "STORE_MAX_MB_ENV",
-    "STORE_VERIFY_ENV",
     "TIERS",
     "TRACE_TIER",
-    "VERIFY_POLICIES",
     "atomic_write_bytes",
     "atomic_write_text",
     "current_umask",

@@ -69,16 +69,9 @@ registry; :class:`~repro.sim.fingerprint.SimulationCache` reports them
 alongside its own, so pool workers ship them home in their counter
 deltas and totals stay exact under any worker count.
 
-Read verification is a policy (``verify=``): ``"always"`` (the
-default — every read hashes its payload, the original behaviour),
-``"open"`` (hash only the first read of each entry file per instance),
-or ``"sampled"`` (first read plus a deterministic 1-in-N of repeat
-reads).  Under *every* policy the first read of a path is fully
-verified, and a ``store()`` through this instance re-arms verification
-for the replaced path — so the corruption matrix holds unchanged; the
-relaxed policies only skip re-hashing payloads this instance has
-already proven.  ``store_bytes_verified`` counts the bytes actually hashed,
-making the sha256-per-read cost visible in telemetry.
+Every read hashes its payload and checks the header's digest before
+unpickling; ``store_bytes_verified`` counts the bytes hashed, making
+the sha256-per-read cost visible in telemetry.
 """
 
 from __future__ import annotations
@@ -86,6 +79,7 @@ from __future__ import annotations
 import json
 import hashlib
 import logging
+import math
 import os
 import pickle
 import time
@@ -129,18 +123,6 @@ TIERS = (RESOURCES_TIER, TRACE_TIER, SM_TIER, COMPILE_TIER, CONFIG_TIER,
 STORE_ENV = "REPRO_STORE"
 #: optional size bound for the store, in mebibytes
 STORE_MAX_MB_ENV = "REPRO_STORE_MAX_MB"
-#: optional read-verification policy override
-STORE_VERIFY_ENV = "REPRO_STORE_VERIFY"
-
-#: read-verification policies: hash every read / only the first read
-#: of each entry file / first read plus a deterministic 1-in-N sample
-VERIFY_ALWAYS = "always"
-VERIFY_OPEN = "open"
-VERIFY_SAMPLED = "sampled"
-VERIFY_POLICIES = (VERIFY_ALWAYS, VERIFY_OPEN, VERIFY_SAMPLED)
-
-#: under ``verify="sampled"``, re-hash one in this many repeat reads
-_VERIFY_SAMPLE_INTERVAL = 16
 
 #: a store key: the fingerprint, or (fingerprint, blocks_sampled)
 StoreKey = Union[str, Tuple[str, int]]
@@ -180,29 +162,12 @@ class ResultStore:
     same directory.
     """
 
-    def __init__(
-        self,
-        path: str,
-        max_bytes: Optional[int] = None,
-        verify: str = VERIFY_ALWAYS,
-    ) -> None:
+    def __init__(self, path: str, max_bytes: Optional[int] = None) -> None:
         self.path = os.path.abspath(path)
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive or None, got {max_bytes}")
-        if verify not in VERIFY_POLICIES:
-            raise ValueError(
-                f"verify must be one of {VERIFY_POLICIES}, got {verify!r}"
-            )
         self.max_bytes = max_bytes
-        self.verify = verify
         self.counts = Counters(STORE_COUNTERS)
-        #: entry paths whose payload digest this instance has already
-        #: checked; a local ``store()`` (or corruption cleanup) re-arms
-        #: verification by discarding the path.  Only consulted by the
-        #: relaxed policies — ``"always"`` never skips the hash.
-        self._verified_paths: set = set()
-        self.verify_sample_interval = _VERIFY_SAMPLE_INTERVAL
-        self._reads_since_sample = 0
         self._lock = FileLock(os.path.join(self.path, _LOCK_FILE))
         #: size accounting for the eviction bound: ``path -> (mtime,
         #: size)`` plus a running byte total.  ``None`` when the store
@@ -283,26 +248,7 @@ class ResultStore:
         header = f"{MAGIC} {SCHEMA_VERSION} {tier} {digest} {len(payload)}\n"
         return header.encode("ascii") + payload
 
-    def _should_verify(self, path: str) -> bool:
-        """Whether this read hashes its payload, per the verify policy.
-
-        The first read of any path is always verified regardless of
-        policy — the relaxed modes only skip re-proving payloads this
-        instance has already checked.
-        """
-        if self.verify == VERIFY_ALWAYS or path not in self._verified_paths:
-            return True
-        if self.verify == VERIFY_OPEN:
-            return False
-        self._reads_since_sample += 1
-        if self._reads_since_sample >= self.verify_sample_interval:
-            self._reads_since_sample = 0
-            return True
-        return False
-
-    def _decode(
-        self, blob: bytes, tier: str, path: str, check_digest: bool = True
-    ) -> Optional[Any]:
+    def _decode(self, blob: bytes, tier: str, path: str) -> Optional[Any]:
         """Payload object, or ``None`` after counting + logging corruption."""
         newline = blob.find(b"\n")
         reason = None
@@ -323,26 +269,19 @@ class ResultStore:
                     length = int(fields[4])
                 except ValueError:
                     length = -1
-                digest_ok = True
-                if length == len(payload) and check_digest:
-                    self.counts.incr("store_bytes_verified", len(payload))
-                    digest_ok = (
-                        hashlib.sha256(payload).hexdigest().encode("ascii")
-                        == fields[3]
-                    )
                 if length != len(payload):
                     reason = f"truncated payload ({len(payload)} of {length} bytes)"
-                elif not digest_ok:
-                    reason = "digest mismatch"
                 else:
-                    try:
-                        obj = pickle.loads(payload)
-                    except Exception as error:  # noqa: BLE001 - any unpickling failure
-                        reason = f"undecodable payload: {type(error).__name__}: {error}"
+                    self.counts.incr("store_bytes_verified", len(payload))
+                    if (hashlib.sha256(payload).hexdigest().encode("ascii")
+                            != fields[3]):
+                        reason = "digest mismatch"
                     else:
-                        if check_digest:
-                            self._verified_paths.add(path)
-                        return obj
+                        try:
+                            return pickle.loads(payload)
+                        except Exception as error:  # noqa: BLE001 - any unpickling failure
+                            reason = (f"undecodable payload: "
+                                      f"{type(error).__name__}: {error}")
         self.counts.incr("store_corrupt")
         logger.warning(
             "store %r: dropping corrupt entry %r (%s); it will be "
@@ -353,7 +292,6 @@ class ResultStore:
         except OSError:
             pass
         self._forget_entry(path)
-        self._verified_paths.discard(path)
         return None
 
     # ------------------------------------------------------------------
@@ -378,8 +316,7 @@ class ResultStore:
             logger.warning("store %r: unreadable entry %r (%s)",
                            self.path, path, error)
             return None
-        obj = self._decode(blob, tier, path,
-                           check_digest=self._should_verify(path))
+        obj = self._decode(blob, tier, path)
         if obj is None:
             self.counts.incr("store_misses")
             return None
@@ -462,9 +399,6 @@ class ResultStore:
         blob = self._encode(tier, obj)
         path = self._entry_path(tier, key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        # The path's content is about to change: re-arm verification so
-        # the relaxed policies hash the replacement on its first read.
-        self._verified_paths.discard(path)
         with self._lock:
             if self.max_bytes is None:
                 atomic_write_bytes(path, blob)
@@ -499,11 +433,6 @@ class ResultStore:
             self._total_bytes += size - old_size
             if self._total_bytes > self.max_bytes:
                 self._evict_lru()
-
-    def put_entries(self, entries: Iterable[StoreEntry]) -> None:
-        """Write-back a batch of artifacts (the pool parent's path)."""
-        for tier, key, obj in entries:
-            self.store(tier, key, obj)
 
     # ------------------------------------------------------------------
     # Eviction.
@@ -620,9 +549,9 @@ def resolve_store(
     """Normalize a store argument: instance, directory path, or ``None``.
 
     ``None`` defers to ``REPRO_STORE`` (empty/unset disables the
-    store).  The size bound comes from ``REPRO_STORE_MAX_MB`` and the
-    read-verification policy from ``REPRO_STORE_VERIFY``; a malformed
-    value raises :class:`ValueError` naming the variable — the same
+    store).  The size bound comes from ``REPRO_STORE_MAX_MB``; a value
+    that is not a finite size of at least one byte raises
+    :class:`ValueError` naming the variable — the same
     actionable-diagnostics contract as ``resolve_workers``.
     """
     if isinstance(store, ResultStore):
@@ -642,23 +571,13 @@ def resolve_store(
                 f"{STORE_MAX_MB_ENV}={bound!r} is not a valid size "
                 "(expected mebibytes as a number)"
             ) from None
-        if megabytes <= 0:
+        if not math.isfinite(megabytes) or megabytes * 1024 * 1024 < 1:
             raise ValueError(
-                f"{STORE_MAX_MB_ENV}={bound!r} must be positive "
-                "(unset it to disable eviction)"
+                f"{STORE_MAX_MB_ENV}={bound!r} must be a finite size of "
+                "at least one byte (unset it to disable eviction)"
             )
         max_bytes = int(megabytes * 1024 * 1024)
-    verify = environ.get(STORE_VERIFY_ENV)
-    if verify is not None and verify.strip():
-        verify = verify.strip()
-        if verify not in VERIFY_POLICIES:
-            raise ValueError(
-                f"{STORE_VERIFY_ENV}={verify!r} is not a verification "
-                f"policy (expected one of {', '.join(VERIFY_POLICIES)})"
-            )
-    else:
-        verify = VERIFY_ALWAYS
-    return ResultStore(str(store), max_bytes=max_bytes, verify=verify)
+    return ResultStore(str(store), max_bytes=max_bytes)
 
 
 __all__ = [
@@ -674,9 +593,7 @@ __all__ = [
     "STORE_COUNTERS",
     "STORE_ENV",
     "STORE_MAX_MB_ENV",
-    "STORE_VERIFY_ENV",
     "TIERS",
     "TRACE_TIER",
-    "VERIFY_POLICIES",
     "resolve_store",
 ]

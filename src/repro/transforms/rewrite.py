@@ -168,23 +168,27 @@ def collect_loop_defs(
 def collect_uses(body: List[Statement]) -> Dict[VirtualRegister, int]:
     """Count reads of each register in a statement tree."""
     counts: Dict[VirtualRegister, int] = {}
-
-    def touch(value: Value) -> None:
-        if isinstance(value, VirtualRegister):
-            counts[value] = counts.get(value, 0) + 1
+    get = counts.get
 
     def visit(statements: List[Statement]) -> None:
         for stmt in statements:
-            if isinstance(stmt, Instruction):
-                for value in stmt.reads:
-                    touch(value)
-            elif isinstance(stmt, ForLoop):
-                touch(stmt.start)
-                touch(stmt.stop)
-                touch(stmt.step)
+            kind = stmt.__class__
+            if kind is Instruction:
+                values = stmt.srcs
+                if stmt.mem is not None:
+                    values = values + (stmt.mem.index,)
+            elif kind is ForLoop:
+                values = (stmt.start, stmt.stop, stmt.step)
+            elif kind is If:
+                values = (stmt.cond,)
+            else:
+                continue
+            for value in values:
+                if value.__class__ is VirtualRegister:
+                    counts[value] = get(value, 0) + 1
+            if kind is ForLoop:
                 visit(stmt.body)
-            elif isinstance(stmt, If):
-                touch(stmt.cond)
+            elif kind is If:
                 visit(stmt.then_body)
                 visit(stmt.else_body)
 

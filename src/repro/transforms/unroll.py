@@ -24,6 +24,7 @@ from repro.transforms.rewrite import (
     clone_body,
     clone_kernel,
     collect_defs,
+    collect_uses,
     registers_read_before_write,
 )
 
@@ -43,10 +44,11 @@ def _check_factor(factor: UnrollFactor) -> None:
 
 
 def _body_locals(
-    loop: ForLoop, kernel_defs: dict
+    loop: ForLoop, kernel_defs: dict, kernel_uses: dict
 ) -> List[VirtualRegister]:
     """Registers that are private to one iteration and safe to rename."""
     body_defs = collect_defs(loop.body)
+    body_uses = collect_uses(loop.body)
     carried = registers_read_before_write(loop.body)
     locals_ = []
     for register, count in body_defs.items():
@@ -54,6 +56,9 @@ def _body_locals(
             continue
         if kernel_defs.get(register, 0) != count:
             # Also defined outside this body: shared state.
+            continue
+        if kernel_uses.get(register, 0) > body_uses.get(register, 0):
+            # Read after the loop, which sees the last iteration's value.
             continue
         locals_.append(register)
     return locals_
@@ -73,6 +78,7 @@ def _unroll_loop(
     loop: ForLoop,
     factor: UnrollFactor,
     kernel_defs: dict,
+    kernel_uses: dict,
     names: FreshNames,
 ) -> List[Statement]:
     trips = loop.static_trip_count()
@@ -83,7 +89,7 @@ def _unroll_loop(
         )
     start = int(loop.start.value)
     step = int(loop.step.value)
-    locals_ = _body_locals(loop, kernel_defs)
+    locals_ = _body_locals(loop, kernel_defs, kernel_uses)
 
     def fresh_rename() -> Substitution:
         return {reg: names.register(reg) for reg in locals_}
@@ -137,6 +143,7 @@ def _rewrite_body(
     factor: UnrollFactor,
     label: Optional[str],
     kernel_defs: dict,
+    kernel_uses: dict,
     names: FreshNames,
 ) -> List[Statement]:
     result: List[Statement] = []
@@ -145,7 +152,8 @@ def _rewrite_body(
             # Innermost-ness is judged on the original tree: expanding
             # a child must not make its parent a target.
             was_innermost = _is_innermost(stmt)
-            inner = _rewrite_body(stmt.body, factor, label, kernel_defs, names)
+            inner = _rewrite_body(stmt.body, factor, label, kernel_defs,
+                                  kernel_uses, names)
             loop = ForLoop(
                 counter=stmt.counter, start=stmt.start, stop=stmt.stop,
                 step=stmt.step, body=inner, trip_count=stmt.trip_count,
@@ -155,16 +163,17 @@ def _rewrite_body(
                 label is not None and loop.label == label
             )
             if matches:
-                result.extend(_unroll_loop(loop, factor, kernel_defs, names))
+                result.extend(_unroll_loop(loop, factor, kernel_defs,
+                                          kernel_uses, names))
             else:
                 result.append(loop)
         elif isinstance(stmt, If):
             result.append(If(
                 cond=stmt.cond,
                 then_body=_rewrite_body(stmt.then_body, factor, label,
-                                        kernel_defs, names),
+                                        kernel_defs, kernel_uses, names),
                 else_body=_rewrite_body(stmt.else_body, factor, label,
-                                        kernel_defs, names),
+                                        kernel_defs, kernel_uses, names),
                 taken_fraction=stmt.taken_fraction,
             ))
         else:
@@ -194,6 +203,8 @@ def unroll(
         # for its unrolled-by-one copy.
         return kernel
     kernel_defs = collect_defs(kernel.body)
+    kernel_uses = collect_uses(kernel.body)
     names = FreshNames("u")
-    body = _rewrite_body(kernel.body, factor, label, kernel_defs, names)
+    body = _rewrite_body(kernel.body, factor, label, kernel_defs,
+                         kernel_uses, names)
     return clone_kernel(kernel, body=body)

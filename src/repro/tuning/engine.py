@@ -67,9 +67,9 @@ from repro.tuning.scheduler import (
     FAULT_COUNTERS,
     SCHEDULER_COUNTERS,
     SIMULATE,
-    SIMULATE_GROUP,
     STATIC,
     STORE_DELTA_KEY,
+    OnResult,
     RetryPolicy,
     SchedulerError,
     SweepScheduler,
@@ -312,19 +312,16 @@ class ExecutionEngine:
         retry_policy: Optional[RetryPolicy] = None,
         fault_spec: Optional[str] = None,
         store: Union[ResultStore, str, None] = None,
-        simulate_group: Optional[Callable[[Sequence[Configuration]], List[float]]] = None,
         group_key: Optional[Callable[[Configuration], Any]] = None,
         result_key: Optional[Callable[[Configuration], str]] = None,
     ) -> None:
         self._evaluate = evaluate
         self._simulate = simulate
-        #: batched measurement: ``configs -> [seconds]`` over a group
-        #: sharing one trace program (``Application.simulate_group``),
-        #: used whenever ``group_key`` assigns two or more pending
-        #: configurations the same non-None key.  Results and cache
-        #: counters are identical to per-config ``simulate`` calls —
-        #: grouping only changes dispatch granularity.
-        self._simulate_group = simulate_group
+        #: ``config -> key``: pending configurations with equal non-None
+        #: keys share a trace program and form one measurement task (see
+        #: ``_tasks``).  Results and cache counters are identical to
+        #: one task per configuration — grouping only changes dispatch
+        #: granularity.
         self._group_key = group_key
         self._sim_cache = sim_cache
         self.store = resolve_store(store)
@@ -395,7 +392,6 @@ class ExecutionEngine:
             retry_policy=retry_policy,
             fault_spec=fault_spec,
             store=store,
-            simulate_group=getattr(app, "simulate_group", None),
             group_key=getattr(app, "trace_group_key", None),
             result_key=getattr(app, "result_key", None),
         )
@@ -532,21 +528,13 @@ class ExecutionEngine:
         in-process ``evaluate_config`` path, where injected faults
         never fire and real errors surface normally.
         """
-        scheduler = self._ensure_scheduler()
-        if scheduler is None:
-            return
-        self.counts.incr("pool_batches")
-        with span("engine.pool_evaluate", cat="engine",
-                  configs=len(configs), workers=scheduler.active_workers):
 
-            def record(position, payload, delta):
-                self._merge_pool_delta(delta)
-                metrics, reason = payload
-                self._record_static(configs[position], (metrics, reason))
-                self._static_fresh.add(configs[position])
+        def record(position, payload, delta):
+            self._merge_pool_delta(delta)
+            self._record_static(configs[position], payload)
+            self._static_fresh.add(configs[position])
 
-            abandoned = scheduler.run(STATIC, configs, record)
-        self._after_pool_batch(scheduler, abandoned, stage="static")
+        self._run_pooled(STATIC, configs, record)
 
     # ------------------------------------------------------------------
     # Memo peeks (the service fast lane's read-only view).
@@ -605,104 +593,68 @@ class ExecutionEngine:
         for entry, value in zip(entries, seconds):
             entry.seconds = value
 
-    def _trace_groups(
-        self, configs: List[Configuration]
-    ) -> Tuple[List[List[Configuration]], List[Configuration]]:
-        """Partition pending configs into trace-program groups.
+    def _tasks(self, configs: List[Configuration]) -> List[List[Configuration]]:
+        """Partition pending configs into measurement tasks.
 
-        Returns ``(grouped, singles)`` in request order: ``grouped``
-        holds lists of two or more configurations whose ``group_key``
-        matched (they share a trace program, so one
-        ``simulate_group`` call replays them through one compiled
-        trace); ``singles`` is everything else — no key function,
-        ``None`` keys, or one-member groups — which flows through the
-        unchanged per-config path.
+        Configurations whose ``group_key`` matches (they share a trace
+        program) form one task; every other configuration — no key
+        function, or a ``None`` key — is a task of its own.  Tasks come
+        in request order of their first configuration.
         """
-        if self._simulate_group is None or self._group_key is None:
-            return [], configs
+        tasks: List[List[Configuration]] = []
         by_key: Dict[Any, List[Configuration]] = {}
-        keys = []
         for config in configs:
-            key = self._group_key(config)
-            keys.append(key)
-            if key is not None:
-                by_key.setdefault(key, []).append(config)
-        grouped: List[List[Configuration]] = []
-        singles: List[Configuration] = []
-        emitted = set()
-        for config, key in zip(configs, keys):
-            if key is None or len(by_key[key]) < 2:
-                singles.append(config)
-            elif key not in emitted:
-                emitted.add(key)
-                grouped.append(by_key[key])
-        return grouped, singles
+            key = None if self._group_key is None else self._group_key(config)
+            if key is None:
+                tasks.append([config])
+            elif key in by_key:
+                by_key[key].append(config)
+            else:
+                by_key[key] = [config]
+                tasks.append(by_key[key])
+        return tasks
 
     def _simulate_missing(self, configs: List[Configuration]) -> None:
         """Measure every config, recording (and storing) results as
         they stream in — an interrupt mid-batch loses only the
-        measurements still in flight."""
-        grouped, remaining = self._trace_groups(configs)
-        if grouped:
-            self._simulate_groups(grouped)
-        if self.workers > 1 and len(remaining) > 1:
-            scheduler = self._ensure_scheduler()
-            if scheduler is not None:
-                self.counts.incr("pool_batches")
-                with span("engine.pool_dispatch", cat="engine",
-                          configs=len(remaining),
-                          workers=scheduler.active_workers):
+        measurements still in flight.
 
-                    def record(position, seconds, delta):
-                        self._merge_pool_delta(delta)
-                        self._record_time(remaining[position], seconds)
-
-                    abandoned = scheduler.run(SIMULATE, remaining, record)
-                self._after_pool_batch(scheduler, abandoned, stage="sim")
-                # Only tasks the scheduler gave up on run serially —
-                # in request order, so a real failure surfaces
-                # deterministically.
-                remaining = [remaining[i] for i in abandoned]
-        for config in remaining:
-            with span("engine.simulate", cat="engine", config=dict(config)):
-                self._record_time(config, self._simulate(config))
-
-    def _simulate_groups(self, grouped: List[List[Configuration]]) -> None:
-        """Measure trace-program groups, one dispatch per group.
-
-        Pool tasks ship whole groups (one pickle round-trip and one
-        compiled trace each); groups the scheduler abandons — and the
-        whole batch when the pool is unavailable — run in-process
-        through the same ``simulate_group`` callable, so results and
-        telemetry are identical either way.
+        With a pool, each task (one trace program's configurations)
+        is one dispatch; tasks the scheduler abandons — and every task
+        when there is no pool — run in-process in request order, so a
+        real failure surfaces deterministically.
         """
-        if self.workers > 1 and len(grouped) > 1:
-            scheduler = self._ensure_scheduler()
-            if scheduler is not None:
-                self.counts.incr("pool_batches")
-                with span("engine.pool_dispatch_group", cat="engine",
-                          groups=len(grouped),
-                          configs=sum(len(g) for g in grouped),
-                          workers=scheduler.active_workers):
+        tasks = self._tasks(configs)
 
-                    def record(position, seconds, delta):
-                        self._merge_pool_delta(delta)
-                        for config, value in zip(grouped[position], seconds):
-                            self._record_time(config, value)
+        def record(position, seconds, delta):
+            self._merge_pool_delta(delta)
+            for config, value in zip(tasks[position], seconds):
+                self._record_time(config, value)
 
-                    abandoned = scheduler.run(SIMULATE_GROUP, grouped, record)
-                self._after_pool_batch(scheduler, abandoned, stage="sim_group")
-                grouped = [grouped[i] for i in abandoned]
-        for group in grouped:
-            with span("engine.simulate_group", cat="engine",
-                      group_size=len(group)):
-                for config, value in zip(group, self._simulate_group(group)):
-                    self._record_time(config, value)
+        serial = tasks
+        if self.workers > 1 and len(tasks) > 1:
+            serial = self._run_pooled(SIMULATE, tasks, record)
+        for task in serial:
+            for config in task:
+                with span("engine.simulate", cat="engine", config=dict(config)):
+                    self._record_time(config, self._simulate(config))
 
-    def _after_pool_batch(self, scheduler: SweepScheduler,
-                          abandoned: List[int], stage: str) -> None:
-        """Degrade loudly when the pool collapsed or tasks fell back to
-        the serial path."""
+    def _run_pooled(self, stage: str, payloads: List[Any],
+                    record: OnResult) -> List[Any]:
+        """Run ``payloads`` through the sweep scheduler as one batch.
+
+        ``record`` receives each result as it streams in.  Returns the
+        payloads left for the in-process path: those the scheduler
+        abandoned, or all of them when no pool is available.  Degrades
+        loudly when tasks fell back or the whole pool collapsed.
+        """
+        scheduler = self._ensure_scheduler()
+        if scheduler is None:
+            return payloads
+        self.counts.incr("pool_batches")
+        with span("engine.pool_dispatch", cat="engine", stage=stage,
+                  tasks=len(payloads), workers=scheduler.active_workers):
+            abandoned = scheduler.run(stage, payloads, record)
         if abandoned:
             self.counts.incr("serial_fallback_tasks", len(abandoned))
             logger.warning(
@@ -715,6 +667,7 @@ class ExecutionEngine:
                 f"all {self.workers} workers quarantined "
                 f"(last failure: {scheduler.last_failure})"
             )
+        return [payloads[index] for index in abandoned]
 
     def _pool_failure(self, reason: str) -> None:
         """Record a pool→serial degradation and reap the scheduler.

@@ -54,7 +54,6 @@ from repro.arch.occupancy import LaunchError
 from repro.obs.faults import (
     FaultPlan,
     FaultInjected,
-    SIMULATE_GROUP_STAGE,
     SIMULATE_STAGE,
     STATIC_STAGE,
 )
@@ -63,12 +62,10 @@ from repro.obs.metrics import Counters, counter_delta
 logger = logging.getLogger(__name__)
 
 #: Re-exported so engine code imports stages from one place.
+#: A measurement task's payload is a *list* of configurations (one
+#: trace program's, or a single one), its result the list of seconds
+#: in payload order; a static task's payload is one configuration.
 SIMULATE = SIMULATE_STAGE
-#: Batched measurement: the payload is a *list* of configurations
-#: sharing a trace program, the result a list of seconds in payload
-#: order (see Application.simulate_group) — one dispatch, one pickle
-#: round-trip, and one compiled trace per group.
-SIMULATE_GROUP = SIMULATE_GROUP_STAGE
 STATIC = STATIC_STAGE
 
 #: ``(index, payload, counter_delta)`` streamed to the caller as each
@@ -211,18 +208,6 @@ def _cache_for(simulate, evaluate):
     return getattr(owner, "sim_cache", None)
 
 
-def _group_simulate_for(simulate):
-    """The batched-measurement callable behind ``simulate``, if any.
-
-    ``SIMULATE_GROUP`` tasks resolve ``simulate_group`` from the same
-    application object the scalar ``simulate`` is bound to, so the
-    scheduler's spawn plumbing is unchanged and workers that predate
-    grouping simply never receive group tasks.
-    """
-    owner = getattr(simulate, "__self__", None)
-    return getattr(owner, "simulate_group", None)
-
-
 def _run_task(stage, index, attempt, payload, simulate, evaluate, plan, cache):
     """Execute one task in a worker; never raises (returns a message).
 
@@ -239,15 +224,7 @@ def _run_task(stage, index, attempt, payload, simulate, evaluate, plan, cache):
     before = cache.counters() if cache is not None else None
     try:
         if stage == SIMULATE:
-            result = simulate(payload)
-        elif stage == SIMULATE_GROUP:
-            group_simulate = _group_simulate_for(simulate)
-            if group_simulate is None:
-                raise TypeError(
-                    "SIMULATE_GROUP task but the simulate callable is "
-                    "not bound to an object with simulate_group"
-                )
-            result = group_simulate(payload)
+            result = [simulate(config) for config in payload]
         else:
             try:
                 result = (evaluate(payload), None)
@@ -734,6 +711,5 @@ __all__ = [
     "STORE_DELTA_KEY",
     "SweepScheduler",
     "SIMULATE",
-    "SIMULATE_GROUP",
     "STATIC",
 ]

@@ -79,12 +79,6 @@ class PoolGeometry:
             self.axes[name].index(config[name]) for name in self.names
         )
 
-    def from_indices(self, indices: Sequence[int]) -> Configuration:
-        return Configuration({
-            name: self.axes[name][index]
-            for name, index in zip(self.names, indices)
-        })
-
 
 class BudgetedRun:
     """Bookkeeping for one budgeted search: dedupe, budget, trajectory.
@@ -141,9 +135,6 @@ class BudgetedRun:
 
     def is_measured(self, config: Configuration) -> bool:
         return config in self._measured
-
-    def in_pool(self, config: Configuration) -> bool:
-        return config in self._entry_for
 
     def unmeasured(self) -> List[Configuration]:
         """Pool members without a measurement, in pool order."""

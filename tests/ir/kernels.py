@@ -9,7 +9,9 @@ generate:
 * nested counted loops, with immediate bounds and with register bounds
   carrying a trip annotation;
 * loop-carried accumulators, and copies made inside a loop and read
-  after it;
+  after it: a multi-def copy initialized before the loop, or (the
+  ``escape`` role) a single-def ``mov`` whose only definition is
+  inside a loop of at least one trip;
 * ``If`` statements with ``taken_fraction`` 0, 0.3 or 1, with and
   without an else side, guarded by a ``setp``;
 * barriers around shared-memory store/load phases (outside branches:
@@ -23,16 +25,18 @@ generate:
   product folds into constant offsets).
 
 Every kernel passes :func:`repro.ir.validate`: registers are defined
-lexically before they are read, and a value made inside a loop or
-branch is only read inside it (a copy read after its loop is
-initialized before the loop).  Indices stay inside the declared arrays
-(``tid.x`` or ``2 * tid.x`` into arrays of ``2 * BLOCK`` elements,
-address chains at most ``tid.x + 15``, shared and local indices
-within bounds; every shared read of another thread's element sits
-between barriers outside any branch) and SFU operands are at least
-1, so the kernels also run in the functional interpreters; no two
-threads of a block write one element, so the two interpreters agree
-(to their SFU rounding; see tests/ir/test_kernels.py).
+lexically before they are read.  A value made inside a branch is only
+read inside it; a value made inside a loop is read after the loop
+only when the loop runs at least once (the ``escape`` copy) or when
+the register was initialized before the loop.  Indices stay inside
+the declared arrays (``tid.x`` or ``2 * tid.x`` into arrays of
+``2 * BLOCK`` elements, address chains at most ``tid.x + 15``, shared
+and local indices within bounds; every shared read of another
+thread's element sits between barriers outside any branch) and SFU
+operands are at least 1, so the kernels also run in the functional
+interpreters; no two threads of a block write one element, so the two
+interpreters agree (to their SFU rounding; see
+tests/ir/test_kernels.py).
 """
 
 from __future__ import annotations
@@ -74,7 +78,8 @@ def _plan(depth: int):
         st.just("loop"),
         st.sampled_from(TRIPS),
         st.sampled_from(("static", "register")),
-        st.sampled_from(("plain", "accumulate", "copy", "shared_index")),
+        st.sampled_from(("plain", "accumulate", "copy", "escape",
+                         "shared_index")),
         inner,
     )
     branch = st.tuples(
@@ -195,6 +200,10 @@ class _Materializer:
     def loop(self, plan, values, in_branch: bool) -> None:
         b = self.b
         _, trips, bounds, role, inner = plan
+        if role == "escape":
+            # The copy's only definition is inside the loop, so the
+            # loop must run for the read after it to see a value.
+            trips = max(trips, 1)
         if bounds == "static":
             header = b.loop(0, trips)
         else:
@@ -206,6 +215,14 @@ class _Materializer:
             return
         if role == "shared_index" and not in_branch:
             self.shared_scan(header, inner, values)
+            return
+        if role == "escape":
+            # A single-def copy: folding binds it, drops it, and must
+            # re-emit it at the loop body's end for the read below.
+            with header:
+                copy = b.mov(self.body(inner, values, in_branch)[-1])
+            b.st(self.dst, TID_X, copy)
+            values.append(copy)
             return
         carried = b.mov(0.0)
         with header:

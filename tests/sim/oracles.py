@@ -7,7 +7,7 @@ Pre-optimization implementations, kept simple on purpose:
 * :func:`simulate_sm_reference` — the plain event loop: one global
   heap ordered by ``(ready_at, sequence)``, warp state held in
   objects, every dynamic event visited one at a time, the DRAM token
-  bucket delegated to :class:`~repro.sim.memory_system.MemorySystem`.
+  bucket delegated to :class:`~tests.sim.memory_system.MemorySystem`.
 
 It exists as the *oracle* for differential testing: the optimized
 replay in :mod:`repro.sim.sm` (locals-bound hot loop, FIFO/heap
@@ -41,7 +41,7 @@ from repro.ir.values import Immediate, Param, SpecialRegister, VirtualRegister
 from repro.ptx.analysis import LOOP_OVERHEAD_PER_TRIP, LOOP_OVERHEAD_SETUP
 from repro.ptx.isa import InstrClass, classify
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
-from repro.sim.memory_system import MemorySystem
+from tests.sim.memory_system import MemorySystem
 from repro.sim.sm import SimulationDeadlock, SMResult
 from repro.sim.trace import (
     BARRIER,

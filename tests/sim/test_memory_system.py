@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import MemorySystem
+from tests.sim.memory_system import MemorySystem
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
 
 

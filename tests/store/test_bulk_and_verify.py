@@ -1,11 +1,9 @@
-"""PR 9 store surface: load_many, list_keys, verify policies, DecodedCache.
+"""Store surface: load_many, list_keys, read verification, DecodedCache.
 
 The bulk-read path must account hits/misses/corruption exactly like
 per-key ``load`` (one ``bulk_reads`` tick per call is the only
 difference), ``list_keys`` must invert the entry naming (including the
-``sm`` tuple encoding), and the relaxed verification policies must
-hash the first read of every path — relaxation only ever skips
-*re-proving* payloads this instance already checked.
+``sm`` tuple encoding), and every read hashes its payload.
 """
 
 from __future__ import annotations
@@ -19,13 +17,8 @@ from repro.store import (
     DecodedCache,
     ResultStore,
     SM_TIER,
-    STORE_ENV,
-    STORE_VERIFY_ENV,
     TRACE_TIER,
-    VERIFY_POLICIES,
-    resolve_store,
 )
-from repro.store.disk import VERIFY_ALWAYS, VERIFY_OPEN, VERIFY_SAMPLED
 
 FP = "ab" * 32
 FP2 = "cd" * 32
@@ -116,36 +109,17 @@ def test_list_keys_rejects_unknown_tier(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Verify policies
+# Read verification
 
 
-def test_invalid_policy_rejected(tmp_path):
-    with pytest.raises(ValueError, match="verify must be one of"):
-        ResultStore(str(tmp_path / "store"), verify="never")
-
-
-@pytest.mark.parametrize("policy", VERIFY_POLICIES)
+# "always" is the store's one read policy: every read hashes its payload.
+@pytest.mark.parametrize("policy", ["always"])
 def test_first_read_always_hashes(tmp_path, policy):
-    store = ResultStore(str(tmp_path / "store"), verify=policy)
+    store = ResultStore(str(tmp_path / "store"))
     store.store(TRACE_TIER, FP, [1, 2, 3])
     assert store.counts["store_bytes_verified"] == 0  # writes hash via _encode, not here
     assert store.load(TRACE_TIER, FP) == [1, 2, 3]
     assert store.counts["store_bytes_verified"] > 0
-
-
-def test_open_policy_hashes_each_path_once(tmp_path):
-    store = ResultStore(str(tmp_path / "store"), verify=VERIFY_OPEN)
-    store.store(TRACE_TIER, FP, [1])
-    store.load(TRACE_TIER, FP)
-    once = store.counts["store_bytes_verified"]
-    assert once > 0
-    for _ in range(5):
-        store.load(TRACE_TIER, FP)
-    assert store.counts["store_bytes_verified"] == once
-    # a different path is a different first read
-    store.store(TRACE_TIER, FP2, [2])
-    store.load(TRACE_TIER, FP2)
-    assert store.counts["store_bytes_verified"] > once
 
 
 def test_always_policy_hashes_every_read(tmp_path):
@@ -153,68 +127,13 @@ def test_always_policy_hashes_every_read(tmp_path):
     store.store(TRACE_TIER, FP, [1])
     store.load(TRACE_TIER, FP)
     once = store.counts["store_bytes_verified"]
+    assert once > 0
     store.load(TRACE_TIER, FP)
     assert store.counts["store_bytes_verified"] == 2 * once
-
-
-def test_sampled_policy_reverifies_one_in_n(tmp_path):
-    store = ResultStore(str(tmp_path / "store"), verify=VERIFY_SAMPLED)
-    store.verify_sample_interval = 4
-    store.store(TRACE_TIER, FP, [1])
-    store.load(TRACE_TIER, FP)  # first read: verified
-    once = store.counts["store_bytes_verified"]
-    for _ in range(3):
-        store.load(TRACE_TIER, FP)  # repeats 1-3: skipped
-    assert store.counts["store_bytes_verified"] == once
-    store.load(TRACE_TIER, FP)  # repeat 4: sampled
-    assert store.counts["store_bytes_verified"] == 2 * once
-
-
-def test_store_rearms_verification(tmp_path):
-    store = ResultStore(str(tmp_path / "store"), verify=VERIFY_OPEN)
+    # a replaced entry is hashed again on its next read
     store.store(TRACE_TIER, FP, [1])
     store.load(TRACE_TIER, FP)
-    once = store.counts["store_bytes_verified"]
-    store.load(TRACE_TIER, FP)
-    assert store.counts["store_bytes_verified"] == once  # proven, skipped
-    store.store(TRACE_TIER, FP, [1, 2])  # replacement: must re-prove
-    store.load(TRACE_TIER, FP)
-    assert store.counts["store_bytes_verified"] > once
-
-
-def test_relaxed_policy_still_catches_truncation(tmp_path, caplog):
-    """Length/schema/tier checks never relax — only the sha256 does."""
-    store = ResultStore(str(tmp_path / "store"), verify=VERIFY_OPEN)
-    store.store(TRACE_TIER, FP, [1, 2, 3])
-    store.load(TRACE_TIER, FP)  # path now proven
-    path = store._entry_path(TRACE_TIER, FP)
-    blob = open(path, "rb").read()
-    with open(path, "wb") as handle:
-        handle.write(blob[:-4])
-    assert store.load(TRACE_TIER, FP) is None
-    assert store.counts["store_corrupt"] == 1
-
-
-# ----------------------------------------------------------------------
-# resolve_store env knob
-
-
-def test_resolve_store_reads_verify_env(tmp_path):
-    environ = {STORE_ENV: str(tmp_path / "store"),
-               STORE_VERIFY_ENV: "open"}
-    store = resolve_store(None, environ=environ)
-    assert store.verify == VERIFY_OPEN
-
-
-def test_resolve_store_defaults_to_always(tmp_path):
-    store = resolve_store(str(tmp_path / "store"), environ={})
-    assert store.verify == VERIFY_ALWAYS
-
-
-def test_resolve_store_rejects_bad_verify_value(tmp_path):
-    environ = {STORE_VERIFY_ENV: "paranoid"}
-    with pytest.raises(ValueError, match=STORE_VERIFY_ENV):
-        resolve_store(str(tmp_path / "store"), environ=environ)
+    assert store.counts["store_bytes_verified"] == 3 * once
 
 
 # ----------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_resolve_size_bound(tmp_path):
     assert store.max_bytes == int(2.5 * 1024 * 1024)
 
 
-@pytest.mark.parametrize("bad", ["lots", "-1", "0"])
+@pytest.mark.parametrize("bad", ["lots", "-1", "0", "nan", "inf", "1e400", "1e-9"])
 def test_resolve_bad_size_names_the_variable(tmp_path, bad):
     with pytest.raises(ValueError, match=STORE_MAX_MB_ENV):
         resolve_store(str(tmp_path / "a"), environ={STORE_MAX_MB_ENV: bad})

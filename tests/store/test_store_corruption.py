@@ -25,7 +25,6 @@ from repro.store import (
     SCHEMA_VERSION,
     SM_TIER,
     TRACE_TIER,
-    VERIFY_POLICIES,
 )
 from repro.store.disk import MAGIC
 
@@ -33,12 +32,9 @@ FP = "ab" * 32
 PAYLOAD = {"trace": [1, 2, 3]}
 
 
-# The whole damage matrix runs under every read-verification policy:
-# the first read of a path is always fully verified (a local store()
-# re-arms it), so relaxed policies must recover identically.
-@pytest.fixture(params=VERIFY_POLICIES)
-def populated(tmp_path, request):
-    store = ResultStore(str(tmp_path / "store"), verify=request.param)
+@pytest.fixture
+def populated(tmp_path):
+    store = ResultStore(str(tmp_path / "store"))
     store.store(TRACE_TIER, FP, PAYLOAD)
     return store
 
@@ -149,18 +145,16 @@ def _matmul_sweep(store=None):
     return keyed, seconds, engine.stats
 
 
-@pytest.mark.parametrize("verify", VERIFY_POLICIES)
 @pytest.mark.parametrize("damage", [_flip_last_byte, _truncate],
                          ids=["byte-flip", "truncated"])
 @pytest.mark.parametrize("victim", ["valid", "invalid"])
-def test_damaged_config_entry_is_recomputed(tmp_path, caplog, verify,
-                                            damage, victim):
+def test_damaged_config_entry_is_recomputed(tmp_path, caplog, damage, victim):
     reference, reference_seconds, _ = _matmul_sweep()
     root = str(tmp_path / "store")
-    _matmul_sweep(ResultStore(root, verify=verify))
+    _matmul_sweep(ResultStore(root))
     config = reference[0 if victim == "valid" else 1][0]
     assert reference[1][2] is not None  # the invalid case is a real one
-    store = ResultStore(root, verify=verify)
+    store = ResultStore(root)
     key = MatMul().test_instance().result_key(config)
     damage(store._entry_path(CONFIG_TIER, key))
 
@@ -176,7 +170,7 @@ def test_damaged_config_entry_is_recomputed(tmp_path, caplog, verify,
     assert stats.simulations == (1 if victim == "valid" else 0)
 
     # The recompute rewrote the entry: a third run is all hits.
-    entries, seconds, stats = _matmul_sweep(ResultStore(root, verify=verify))
+    entries, seconds, stats = _matmul_sweep(ResultStore(root))
     assert (entries, seconds) == (reference, reference_seconds)
     assert stats.store_corrupt == 0
     assert stats.static_evaluations == stats.simulations == 0

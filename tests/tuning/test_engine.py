@@ -183,6 +183,45 @@ class TestParallelWorkers:
             # parent-process spy observed the call directly
             assert app.simulated == [app.configs[0]]
 
+    def test_trace_groups_share_one_task_in_request_order(self):
+        app = SyntheticApp()
+        engine = ExecutionEngine(
+            app.evaluate, app.simulate,
+            group_key=lambda config: config["e"] if config["e"] < 3 else None,
+        )
+        reordered = app.configs[::-1]
+        assert engine._tasks(reordered) == (
+            [[config] for config in reordered if config["e"] >= 3]
+            + [[config for config in reordered if config["e"] == e]
+               for e in (2, 1)]
+        )
+
+    def test_grouped_tasks_pool_like_singles(self):
+        def key(config):
+            return config["e"] if config["e"] < 3 else None
+
+        serial_app = SyntheticApp()
+        with ExecutionEngine(serial_app.evaluate, serial_app.simulate,
+                             workers=1, group_key=key) as serial:
+            expected = serial.seconds_for(serial_app.configs)
+        pooled_app = SyntheticApp()
+        with ExecutionEngine(pooled_app.evaluate, pooled_app.simulate,
+                             workers=2, group_key=key) as pooled:
+            assert pooled.seconds_for(pooled_app.configs) == expected
+            # groups and singles share one batch, all of it measured in
+            # the workers (the parent-process spy saw nothing)
+            assert pooled.stats.pool_batches == 1
+            assert pooled.stats.simulations == len(pooled_app.configs)
+            assert pooled_app.simulated == []
+
+    def test_single_task_stays_in_process(self):
+        app = SyntheticApp()
+        with ExecutionEngine(app.evaluate, app.simulate, workers=4,
+                             group_key=lambda config: "one") as engine:
+            engine.seconds_for(app.configs)
+            assert engine.stats.pool_batches == 0
+            assert app.simulated == list(app.configs)
+
     def test_resolve_workers(self, monkeypatch):
         assert resolve_workers(3) == 3
         assert resolve_workers(0) == 1

@@ -328,7 +328,7 @@ class TestSchedulerDeterminism:
         )
         try:
             abandoned = scheduler.run(
-                "sim", app.configs,
+                "sim", [[config] for config in app.configs],
                 lambda index, result, delta: seen.append((index, result)),
             )
         finally:
@@ -337,4 +337,4 @@ class TestSchedulerDeterminism:
         assert sorted(i for i, _ in seen) == list(range(len(app.configs)))
         expected = app.expected_seconds()
         for index, result in seen:
-            assert result == expected[index]
+            assert result == [expected[index]]
