@@ -18,7 +18,6 @@ from repro.service.daemon import (
 )
 from repro.service.http import HTTPError, Request, Response, Router
 from repro.service.registry import (
-    InflightRegistry,
     JobTable,
     SweepCancelled,
     SweepJob,
@@ -26,7 +25,6 @@ from repro.service.registry import (
 
 __all__ = [
     "HTTPError",
-    "InflightRegistry",
     "JobTable",
     "Request",
     "RequestError",

@@ -16,12 +16,14 @@ request.  Every lane selects through
 :func:`repro.tuning.search.assemble_result`, so chunked timing with
 cancellation checks cannot drift from the strategy functions.
 
-Concurrency model: the asyncio event loop owns all bookkeeping (job
-table, in-flight registry); each runtime executes sweeps on its own
-single-thread executor, so one engine is never entered concurrently
-while distinct runtimes proceed in parallel.  Overlapping sweeps
-dedupe through :class:`~repro.service.registry.InflightRegistry`: the
-second requester awaits the first's future, then reads warm caches.
+Concurrency model: the asyncio event loop owns the job table; each
+runtime executes sweeps on its own single-thread executor, so one
+engine is never entered concurrently while distinct runtimes proceed
+in parallel.  That queue is the only place a sweep waits: a sweep
+behind another on the same runtime reads ``queued`` until its work
+starts, and a cancel before then withdraws it at once.  The engine's
+memo answers whatever an earlier sweep in the queue already computed,
+so each configuration is measured once however sweeps overlap.
 
 One probe-then-dispatch path: before anything reaches the executor,
 ``_run_job`` probes the resident engine's memo (read-only
@@ -30,15 +32,14 @@ the executor thread).  The probe decides what the executor must still
 do.  A *fully-warm* sweep — every static entry and every selected
 measurement memoized — needs nothing: it is answered on the event
 loop in cancellable chunks (lane ``fastlane``).  A *partially-warm*
-sweep (statics memoized, some measurements missing) claims and
-dispatches only its misses, then reads the rest from the memo on the
-loop (``fastlane-partial``).  Anything else — a static miss, an
-adaptive zoo sweep, or a daemon built with ``fastlane=False`` — claims
-its configurations and dispatches the whole :func:`run_sweep`
-(``engine``).  Because fully-warm sweeps never enter the executor,
-warm sweeps for the *same* runtime overlap freely — the
-single-thread-per-engine constraint only ever applied to sweeps that
-compute.  A daemon-wide :class:`~repro.store.DecodedCache` sits
+sweep (statics memoized, some measurements missing) dispatches only
+its misses, then reads the rest from the memo on the loop
+(``fastlane-partial``).  Anything else — a static miss, an adaptive
+zoo sweep, or a daemon built with ``fastlane=False`` — dispatches the
+whole :func:`run_sweep` (``engine``).  Because fully-warm sweeps
+never enter the executor, warm sweeps for the *same* runtime overlap
+freely — the single-thread-per-engine constraint only ever applied to
+sweeps that compute.  A daemon-wide :class:`~repro.store.DecodedCache` sits
 between every runtime's ``SimulationCache`` and the store, so
 repeated store reads never re-hash or re-unpickle a payload.
 """
@@ -73,7 +74,6 @@ from repro.service.registry import (
     FAILED,
     QUEUED,
     RUNNING,
-    InflightRegistry,
     JobTable,
     SweepCancelled,
     SweepJob,
@@ -85,7 +85,6 @@ from repro.tuning.engine import (
     EvaluatedConfig,
     ExecutionEngine,
     add_memo_hits,
-    config_key,
 )
 from repro.tuning.search import (
     assemble_result,
@@ -117,8 +116,8 @@ SERVICE_PORT_ENV = "REPRO_SERVICE_PORT"
 DEFAULT_CHUNK_SIZE = 16
 
 #: the service's counters, zero-filled: submissions, sweep outcomes,
-#: the fast lane's share, executor dispatches, and in-flight dedupes
-#: (the HTTP layer counts keep-alive traffic into the same registry)
+#: the fast lane's share and executor dispatches (the HTTP layer
+#: counts keep-alive traffic into the same registry)
 SERVICE_COUNTERS = {
     "requests_total": 0,
     "requests_rejected": 0,
@@ -127,7 +126,6 @@ SERVICE_COUNTERS = {
     "sweeps_cancelled": 0,
     "sweeps_cancel_requested": 0,
     "sweeps_failed": 0,
-    "dedupe_hits": 0,
     "executor_dispatches": 0,
     "fastlane_sweeps": 0,
     "fastlane_partial": 0,
@@ -453,7 +451,6 @@ class TuningService:
         #: benchmarks)
         self.fastlane = fastlane
         self.jobs = JobTable()
-        self.inflight = InflightRegistry()
         self.runtimes: Dict[str, AppRuntime] = {}
         self.counters = Counters(SERVICE_COUNTERS)
         self.decoded = DecodedCache()
@@ -570,7 +567,6 @@ class TuningService:
             "status": "ok",
             "runtimes": sorted(self.runtimes),
             "jobs": states,
-            "inflight_keys": len(self.inflight),
         })
 
     async def handle_metrics(self, request: Request) -> Response:
@@ -591,7 +587,6 @@ class TuningService:
         return json_response({
             "service": service,
             "jobs": self.jobs.count_by_state(),
-            "inflight_keys": len(self.inflight),
             "decoded_cache": self.decoded.counters(),
             "runtimes": runtimes,
         })
@@ -606,7 +601,7 @@ class TuningService:
     # Sweep execution.
 
     async def _run_job(self, job: SweepJob, sweep: SweepRequest) -> None:
-        """Probe, claim, dispatch: the one path every sweep takes (the
+        """Probe, then dispatch: the one path every sweep takes (the
         module docstring lists what each probe outcome runs)."""
         runtime = self._runtime_for(sweep)
         engine = runtime.engine
@@ -618,33 +613,7 @@ class TuningService:
             self._probe_memo(engine, sweep)
             if self.fastlane and sweep.kind == "selection" else None
         )
-        owned: List[Tuple[str, str]] = []
         try:
-            # Claim what the executor will compute: every configuration
-            # for run_sweep, only the misses after a probe (the warm
-            # portion is final memo state, invisible to other claims).
-            # The registry collapses duplicate keys, so a repeated
-            # configuration dedupes against *other* sweeps, never
-            # against this job's own claim.
-            computed = sweep.configs if probe is None else [
-                entry.config for entry in probe.missing
-            ]
-            if computed:
-                owned, waiting = self.inflight.claim([
-                    (sweep.runtime_key, config_key(config))
-                    for config in computed
-                ])
-                if waiting:
-                    # Another sweep is computing these configurations
-                    # right now; await it instead of re-simulating.
-                    job.dedupe_hits = len(waiting)
-                    self.counters.incr("dedupe_hits", len(waiting))
-                    await self._await_inflight(job, waiting)
-                if job.cancel_event.is_set():
-                    raise SweepCancelled(job.id)
-            job.state = RUNNING
-            job.started = time.time()
-
             def progress(done: int, total: int) -> None:
                 job.timed_done = done
                 job.timed_total = total
@@ -652,7 +621,7 @@ class TuningService:
             if probe is None:
                 job.lane = "engine"
                 job.result, job.stats_delta = await self._dispatch(
-                    runtime, run_sweep, engine, sweep,
+                    job, runtime, run_sweep, engine, sweep,
                     cancel_check=job.cancel_event.is_set,
                     progress=progress,
                 )
@@ -671,60 +640,43 @@ class TuningService:
             self.counters.incr("sweeps_failed")
         finally:
             job.finished = time.time()
-            self.inflight.release(owned)
 
     async def _dispatch(
-        self, runtime: AppRuntime, work: Callable[..., Any], *args, **kwargs
+        self, job: SweepJob, runtime: AppRuntime,
+        work: Callable[..., Any], *args, **kwargs,
     ) -> Tuple[Any, Dict[str, Any]]:
         """Run ``work(*args, **kwargs)`` on the runtime's executor
         thread, bracketed by the engine's request boundary; returns its
-        value and this request's stats delta."""
+        value and this request's stats delta.
+
+        The job stays queued until the executor thread starts the work.
+        A cancel before then withdraws the work and raises
+        :class:`SweepCancelled` at once; work that has started stops at
+        its next chunk boundary.
+        """
+        if job.cancel_event.is_set():
+            raise SweepCancelled(job.id)
         self.counters.incr("executor_dispatches")
 
         def bracketed() -> Tuple[Any, Dict[str, Any]]:
+            job.start()
             before = runtime.engine.begin_request()
             value = work(*args, **kwargs)
             return value, runtime.engine.stats.delta_since(before)
 
-        return await asyncio.get_running_loop().run_in_executor(
-            runtime.executor, bracketed
-        )
-
-    @staticmethod
-    async def _await_inflight(
-        job: SweepJob, waiting: Sequence["asyncio.Future[None]"]
-    ) -> None:
-        """Await another sweep's futures, racing the job's cancel edge.
-
-        The in-flight futures are shared with their owner and any other
-        waiters, so cancellation must never propagate into them — each
-        is shielded, and on cancel only the local gather is torn down
-        before :class:`SweepCancelled` surfaces immediately (not after
-        the owning sweep finishes).
-        """
-        loop = asyncio.get_running_loop()
-        waiter: "asyncio.Future[None]" = loop.create_future()
-        job.cancel_waiter = waiter
-        gather = asyncio.gather(*(asyncio.shield(f) for f in waiting))
+        queued = runtime.executor.submit(bracketed)
+        outcome = asyncio.wrap_future(queued)
+        job.cancel_waiter = asyncio.get_running_loop().create_future()
         try:
-            if job.cancel_event.is_set():
-                raise SweepCancelled(job.id)
             await asyncio.wait(
-                {gather, waiter}, return_when=asyncio.FIRST_COMPLETED
+                {outcome, job.cancel_waiter},
+                return_when=asyncio.FIRST_COMPLETED,
             )
-            if not gather.done():
+            if queued.cancel():
                 raise SweepCancelled(job.id)
-            await gather  # surface an owner-side exception, if any
+            return await outcome
         finally:
             job.cancel_waiter = None
-            if not waiter.done():
-                waiter.cancel()
-            if not gather.done():
-                gather.cancel()
-                try:
-                    await gather
-                except asyncio.CancelledError:
-                    pass
 
     # ------------------------------------------------------------------
     # The warm-path fast lane.
@@ -772,19 +724,14 @@ class TuningService:
         per chunk, so concurrent warm sweeps interleave even on one
         runtime."""
         engine = runtime.engine
-        # The owning sweep may have measured some misses while we
-        # waited on its claim.
-        missing = [
-            entry for entry in missing
-            if engine.peek_seconds(entry.config) is None
-        ]
         job.lane = "fastlane-partial" if missing else "fastlane"
         if missing:
             _, engine_delta = await self._dispatch(
-                runtime, measure_in_chunks, engine, missing, sweep,
+                job, runtime, measure_in_chunks, engine, missing, sweep,
                 job.cancel_event.is_set, progress,
             )
         else:
+            job.start()
             # Never the live stats, which another sweep's executor
             # thread may be counting.
             engine_delta = EngineStats.zeros(engine.workers).as_dict()

@@ -189,7 +189,10 @@ async def read_request(
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HTTPError(400, f"malformed request line: {line!r}")
     method, target = parts[0].upper(), parts[1]
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as error:  # e.g. an unclosed IPv6 bracket
+        raise HTTPError(400, f"malformed request target: {error}")
     query = dict(parse_qsl(split.query))
     headers: Dict[str, str] = {}
     for _ in range(MAX_HEADER_COUNT + 1):

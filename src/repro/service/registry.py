@@ -1,20 +1,9 @@
-"""Sweep job bookkeeping and the cross-request in-flight registry.
+"""Sweep job bookkeeping: the daemon's job table.
 
-Two small pieces of daemon state, both owned by the event-loop thread
-(no locks — every mutation happens on the loop):
-
-* :class:`JobTable` — every sweep ever submitted to this daemon, keyed
-  by id, carrying progress counters the status endpoint reports while
-  the sweep's worker thread streams results in.
-* :class:`InflightRegistry` — the dedupe map of ISSUE 8: evaluation
-  keys (runtime key + configuration key — the configuration key is
-  derived from the kernel-fingerprint-bearing parameter mapping, so
-  equal keys mean identical simulations) claimed by running sweeps.
-  A second sweep touching a claimed key *awaits the first requester's
-  future* instead of re-simulating; by the time it runs, the resident
-  engine's memo and the persistent store serve those configurations as
-  hits.  Claims are atomic on the event loop and wait edges only point
-  at earlier claimants, so overlapping sweeps can never deadlock.
+:class:`JobTable` holds every sweep ever submitted to this daemon,
+keyed by id.  The event loop creates, cancels and finishes jobs; a
+sweep's executor thread writes only its own job's progress counters
+and the ``running`` stamp when it starts the sweep's work.
 """
 
 from __future__ import annotations
@@ -24,11 +13,10 @@ import dataclasses
 import itertools
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "DEFAULT_MAX_JOBS",
-    "InflightRegistry",
     "JobTable",
     "SweepCancelled",
     "SweepJob",
@@ -45,9 +33,6 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
-
-#: one dedupe key: (runtime key, configuration key)
-InflightKey = Tuple[str, str]
 
 
 class SweepCancelled(Exception):
@@ -67,7 +52,6 @@ class SweepJob:
     finished: Optional[float] = None
     timed_total: int = 0             # configurations the strategy selected
     timed_done: int = 0              # measured so far (streams per chunk)
-    dedupe_hits: int = 0             # keys served by awaiting another sweep
     #: which path served this sweep: "engine" (executor dispatch),
     #: "fastlane" (fully warm, answered on the event loop), or
     #: "fastlane-partial" (hits on the loop, misses on the engine)
@@ -80,15 +64,22 @@ class SweepJob:
     cancel_event: threading.Event = dataclasses.field(
         default_factory=threading.Event
     )
-    #: loop-side cancellation edge: while the job is QUEUED awaiting
-    #: another sweep's in-flight futures, resolving this future wakes
-    #: it immediately instead of after the owning sweep finishes
+    #: loop-side cancellation edge: while the job awaits its executor
+    #: work, resolving this future wakes it, so work that has not
+    #: started is cancelled at once instead of after the queue ahead
     cancel_waiter: Optional["asyncio.Future[None]"] = None
+
+    def start(self) -> None:
+        """Stamp the job running: on the event loop for a sweep that
+        dispatches nothing, else on the executor thread as the sweep's
+        work begins."""
+        self.state = RUNNING
+        self.started = time.time()
 
     def request_cancel(self) -> None:
         """Signal cancellation on both sides: the worker thread's
-        event and (if the job is parked awaiting dedupe futures) the
-        event-loop waiter.  Must be called on the event loop."""
+        event and (if the job awaits its executor work) the event-loop
+        waiter.  Must be called on the event loop."""
         self.cancel_event.set()
         if self.cancel_waiter is not None and not self.cancel_waiter.done():
             self.cancel_waiter.set_result(None)
@@ -104,7 +95,6 @@ class SweepJob:
             "finished": self.finished,
             "timed_total": self.timed_total,
             "timed_done": self.timed_done,
-            "dedupe_hits": self.dedupe_hits,
         }
         if self.lane is not None:
             payload["lane"] = self.lane
@@ -173,49 +163,3 @@ class JobTable:
         for job in self._jobs.values():
             counts[job.state] = counts.get(job.state, 0) + 1
         return counts
-
-
-class InflightRegistry:
-    """Evaluation keys currently being computed by some sweep.
-
-    ``claim`` partitions a sweep's keys into the ones it now *owns*
-    (it will compute them and must ``release`` them when finished, in
-    success or failure) and futures for keys an earlier sweep already
-    owns (await them before running, then read the warm caches).
-    """
-
-    def __init__(self) -> None:
-        self._futures: Dict[InflightKey, "asyncio.Future[None]"] = {}
-
-    def claim(
-        self, keys: Sequence[InflightKey]
-    ) -> Tuple[List[InflightKey], List["asyncio.Future[None]"]]:
-        loop = asyncio.get_running_loop()
-        owned: List[InflightKey] = []
-        waiting: List["asyncio.Future[None]"] = []
-        # Duplicate keys within one claim are collapsed: a repeated
-        # key must never make the caller wait on the future it just
-        # created for itself (a guaranteed deadlock), nor wait twice
-        # on an earlier claimant.
-        seen: set = set()
-        for key in keys:
-            if key in seen:
-                continue
-            seen.add(key)
-            existing = self._futures.get(key)
-            if existing is not None:
-                waiting.append(existing)
-            else:
-                self._futures[key] = loop.create_future()
-                owned.append(key)
-        return owned, waiting
-
-    def release(self, keys: Sequence[InflightKey]) -> None:
-        """Resolve (and forget) owned keys so waiters proceed."""
-        for key in keys:
-            future = self._futures.pop(key, None)
-            if future is not None and not future.done():
-                future.set_result(None)
-
-    def __len__(self) -> int:
-        return len(self._futures)

@@ -2,7 +2,7 @@
 
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.sim.fingerprint import SimulationCache, kernel_fingerprint
-from repro.sim.gpu import SimulationResult, simulate_kernel, simulate_seconds
+from repro.sim.gpu import SimulationResult, simulate_kernel
 from repro.sim.sm import SimulationDeadlock, SMResult, simulate_sm
 from repro.sim.trace import (
     BARRIER,
@@ -32,6 +32,5 @@ __all__ = [
     "build_trace",
     "kernel_fingerprint",
     "simulate_kernel",
-    "simulate_seconds",
     "simulate_sm",
 ]

@@ -142,26 +142,10 @@ def simulate_kernel(
     )
 
 
-def simulate_seconds(
-    kernel: Kernel,
-    config: SimConfig = DEFAULT_SIM_CONFIG,
-    resources: Optional[ResourceUsage] = None,
-    cache: Optional[SimulationCache] = None,
-) -> float:
-    """Scalar timing entry point: estimated seconds for one kernel.
-
-    The measurement the search strategies pay for, reduced to the one
-    float the execution engine caches, stores, and ships across
-    process-pool boundaries (see ``repro.tuning.engine``).
-    """
-    return simulate_kernel(kernel, config, resources, cache).seconds
-
-
 __all__ = [
     "LaunchError",
     "SimulationCache",
     "SimulationResult",
     "kernel_fingerprint",
     "simulate_kernel",
-    "simulate_seconds",
 ]

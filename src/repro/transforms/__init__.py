@@ -16,8 +16,6 @@ from repro.transforms.schedule import schedule_loads_early
 from repro.transforms.strength import reduce_strength
 from repro.transforms.rewrite import (
     FreshNames,
-    Pass,
-    apply_passes,
     clone_body,
     clone_kernel,
     collect_defs,
@@ -31,12 +29,10 @@ from repro.transforms.unroll import COMPLETE, UnrollError, UnrollFactor, unroll
 __all__ = [
     "COMPLETE",
     "FreshNames",
-    "Pass",
     "PrefetchError",
     "SpillError",
     "UnrollError",
     "UnrollFactor",
-    "apply_passes",
     "choose_spill_candidates",
     "clone_body",
     "clone_kernel",

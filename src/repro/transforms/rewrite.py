@@ -7,8 +7,7 @@ never mutated, so configurations can share a baseline kernel safely.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.ir.instructions import Instruction, MemRef
 from repro.ir.kernel import Kernel
@@ -285,18 +284,3 @@ class FreshNames:
         return VirtualRegister(
             f"{like.name}.{self._prefix}{self._counter}", like.dtype
         )
-
-
-@dataclasses.dataclass(frozen=True)
-class Pass:
-    """A named kernel-to-kernel transformation."""
-
-    name: str
-    run: Callable[[Kernel], Kernel]
-
-
-def apply_passes(kernel: Kernel, passes: List[Pass]) -> Kernel:
-    """Run a pass list left to right."""
-    for pass_ in passes:
-        kernel = pass_.run(kernel)
-    return kernel

@@ -190,10 +190,6 @@ class EngineStats:
         out["fault_recoveries"] = self.fault_recoveries
         return out
 
-    def snapshot(self) -> "EngineStats":
-        """The view itself: it is already detached."""
-        return self
-
     def delta_since(self, before: "EngineStats") -> Dict[str, Any]:
         """Per-request counter deltas against an earlier snapshot.
 

@@ -23,7 +23,6 @@ from repro.tuning.strategies.registry import (
     build_strategy,
     get_spec,
     is_integer,
-    request_fields,
     request_kwargs,
     selection_strategy_names,
     strategy_names,
@@ -42,7 +41,6 @@ __all__ = [
     "build_strategy",
     "get_spec",
     "is_integer",
-    "request_fields",
     "request_kwargs",
     "selection_strategy_names",
     "strategy_names",

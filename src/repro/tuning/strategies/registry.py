@@ -35,7 +35,6 @@ __all__ = [
     "build_strategy",
     "get_spec",
     "is_integer",
-    "request_fields",
     "request_kwargs",
     "selection_strategy_names",
     "strategy_names",
@@ -185,11 +184,6 @@ def build_strategy(name: str):
     module_name, _, class_name = spec.loader.partition(":")
     module = importlib.import_module(module_name)
     return getattr(module, class_name)()
-
-
-def request_fields(spec: StrategySpec) -> Tuple[str, ...]:
-    """Payload fields the strategy accepts beyond the base request set."""
-    return spec.fields
 
 
 def request_kwargs(spec: StrategySpec, payload: Dict[str, Any]) -> Dict[str, Any]:

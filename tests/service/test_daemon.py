@@ -176,22 +176,38 @@ def test_duplicate_configs_do_not_deadlock(fake_app_class,
     )
     status = daemon.client.wait(job["id"], timeout=30)
     assert status["state"] == "done"
-    # The duplicates deduped against nothing (no other sweep owns
-    # them), not against this sweep's own claim.
-    assert status["dedupe_hits"] == 0
     payload = daemon.client.results(job["id"])
     assert payload["result"]["best"]["config"] == {"x": 0, "y": 1}
 
 
-def test_cancel_takes_effect_while_queued_behind_overlap(fake_app_class,
-                                                         service_factory):
-    """Cancelling a sweep parked on another sweep's in-flight futures
-    must not wait for the owning sweep to finish."""
+#: sweep A of the queued-cancel test: the eight configurations with
+#: x < 4, one measurement per chunk
+QUEUE_AHEAD = [{"x": x, "y": y} for x in range(4) for y in (1, 2)]
+
+
+@pytest.mark.parametrize("route", ["POST", "DELETE"])
+@pytest.mark.parametrize(
+    "configs_b",
+    [
+        # statics memoized by A: B dispatches only its misses
+        [{"x": 0, "y": 1}, {"x": 1, "y": 1}],
+        # nothing of B's is memoized: B dispatches the whole sweep
+        [{"x": 4, "y": 1}, {"x": 4, "y": 2}],
+    ],
+    ids=["overlap", "disjoint"],
+)
+def test_cancel_takes_effect_while_queued_behind_overlap(
+        fake_app_class, service_factory, configs_b, route):
+    """A sweep queued behind another on the same runtime reads
+    ``queued``, and cancelling it (``POST /sweeps/<id>/cancel`` or
+    ``DELETE /sweeps/<id>``) must not wait for the sweep ahead to
+    finish, whether or not their configurations overlap."""
     fake_app_class.delay = 0.3
     daemon = service_factory([fake_app_class()])
-    job_a = daemon.client.submit(
-        {"app": "fake", "strategy": "exhaustive", "chunk_size": 1}
-    )
+    job_a = daemon.client.submit({
+        "app": "fake", "strategy": "exhaustive", "configs": QUEUE_AHEAD,
+        "chunk_size": 1,
+    })
     deadline = time.monotonic() + 10
     while time.monotonic() < deadline:
         status = daemon.client.status(job_a["id"])
@@ -200,13 +216,16 @@ def test_cancel_takes_effect_while_queued_behind_overlap(fake_app_class,
         time.sleep(0.02)
     else:
         pytest.fail("sweep A never started timing")
-    # B's whole subset is claimed by A, so B queues awaiting A.
     job_b = daemon.client.submit({
-        "app": "fake", "strategy": "exhaustive",
-        "configs": [{"x": 0, "y": 1}, {"x": 1, "y": 1}],
+        "app": "fake", "strategy": "exhaustive", "configs": configs_b,
     })
-    assert daemon.client.status(job_b["id"])["state"] == "queued"
-    daemon.client.cancel(job_b["id"])
+    status_b = daemon.client.status(job_b["id"])
+    assert status_b["state"] == "queued"
+    assert status_b["started"] is None
+    if route == "POST":
+        daemon.client.cancel(job_b["id"])
+    else:
+        daemon.client._call("DELETE", f"/sweeps/{job_b['id']}")
     deadline = time.monotonic() + 2
     while time.monotonic() < deadline:
         status_b = daemon.client.status(job_b["id"])
@@ -214,11 +233,13 @@ def test_cancel_takes_effect_while_queued_behind_overlap(fake_app_class,
             break
         time.sleep(0.02)
     else:
-        pytest.fail("queued sweep did not cancel until its owner ended")
-    # The owning sweep is still running: the cancel did not wait it out.
+        pytest.fail("queued sweep did not cancel until the sweep ahead ended")
+    # The sweep ahead is still running: the cancel did not wait it out.
     assert daemon.client.status(job_a["id"])["state"] == "running"
     fake_app_class.delay = 0.0
     assert daemon.client.wait(job_a["id"])["state"] == "done"
+    # B's work never ran: A's eight measurements are the only ones.
+    assert len(fake_app_class.calls) == len(QUEUE_AHEAD)
 
 
 def test_healthz_and_metrics(fake_app_class, service_factory):
@@ -232,7 +253,6 @@ def test_healthz_and_metrics(fake_app_class, service_factory):
     metrics = daemon.client.metrics()
     assert metrics["service"]["sweeps_completed"] >= 1
     assert metrics["runtimes"]["fake"]["simulations"] == 10
-    assert metrics["inflight_keys"] == 0
 
 
 def test_each_service_counts_only_its_own_work(fake_app_class,

@@ -329,6 +329,31 @@ def test_keepalive_framing_error_closes_connection():
     assert trailing == b""
 
 
+@pytest.mark.parametrize(
+    "target", [b"//[::1", b"http://["], ids=["authority", "absolute"]
+)
+def test_unparsable_target_is_framing_400(target, caplog):
+    """A target ``urlsplit`` rejects (an unclosed IPv6 bracket) is a
+    framing error: a 400 that closes the connection, not a logged 500."""
+
+    async def scenario(port):
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(b"GET " + target + b" HTTP/1.1\r\n\r\n")
+        await writer.drain()
+        reply = await _read_framed_response(reader)
+        trailing = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        return reply, trailing
+
+    (status, headers, body), trailing = run_keepalive(scenario)
+    assert status == 400
+    assert "malformed request target" in body["error"]
+    assert headers["connection"] == "close"
+    assert trailing == b""
+    assert "unhandled error" not in caplog.text
+
+
 def test_keepalive_chunked_body_is_not_smuggled():
     """A chunked POST whose body holds a pipelined GET: one 501, then
     close.  The Content-Length covers only the chunk-size line, so a

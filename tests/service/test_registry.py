@@ -1,5 +1,4 @@
-"""Unit tests for the daemon's bookkeeping: in-flight claim semantics
-(duplicate keys must never self-deadlock), bounded job retention, and
+"""Unit tests for the daemon's bookkeeping: bounded job retention and
 the two-sided cancellation edge."""
 
 from __future__ import annotations
@@ -10,47 +9,9 @@ from repro.service.registry import (
     DONE,
     FAILED,
     RUNNING,
-    InflightRegistry,
     JobTable,
     SweepJob,
 )
-
-
-def test_claim_collapses_duplicate_keys():
-    """A repeated key in one claim is owned once — the caller must
-    never be handed the future it just created for itself (that wait
-    edge is a guaranteed deadlock)."""
-
-    async def run():
-        registry = InflightRegistry()
-        owned, waiting = registry.claim(
-            [("r", "a"), ("r", "a"), ("r", "b"), ("r", "a")]
-        )
-        assert owned == [("r", "a"), ("r", "b")]
-        assert waiting == []
-        assert len(registry) == 2
-        registry.release(owned)
-        assert len(registry) == 0
-
-    asyncio.run(run())
-
-
-def test_claim_duplicate_of_earlier_claimant_waits_once():
-    async def run():
-        registry = InflightRegistry()
-        owned_a, waiting_a = registry.claim([("r", "a")])
-        assert (owned_a, waiting_a) == ([("r", "a")], [])
-        owned_b, waiting_b = registry.claim(
-            [("r", "a"), ("r", "a"), ("r", "b")]
-        )
-        assert owned_b == [("r", "b")]
-        assert len(waiting_b) == 1
-        registry.release(owned_a)
-        await asyncio.wait_for(asyncio.gather(*waiting_b), 1)
-        registry.release(owned_b)
-        assert len(registry) == 0
-
-    asyncio.run(run())
 
 
 def test_job_table_prunes_oldest_terminal_jobs():
