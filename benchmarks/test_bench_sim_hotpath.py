@@ -41,21 +41,25 @@ the first sweep's populated ``SimulationCache``: every configuration
 resolves through the fingerprint tiers without building a single
 trace, measuring pure cache-hit throughput.
 
-Finally a *cross-process warm-start* phase flushes the populated cache
-into a persistent :class:`~repro.store.ResultStore` and re-runs the
-sweep in a **fresh Python process** attached to that store.  The
-child sweeps ``WARM_SWEEPS`` times, each with a fresh application
-that bulk-rehydrates its cache up front (``preload_from_store`` — one
-``list_keys`` + ``load_many`` pass per tier, timed separately as
-``preload_seconds``).  The child itself asserts what the store is
-for: no sweep builds a kernel (``app._kernel_cache`` stays empty) or
-compiles one (``compile_evaluations == 0``), and every sweep replays
-nothing and gives the same times.  Those times must be bit-identical
-to this process's (compared through JSON, which round-trips doubles
-exactly), and the child's median sweep must beat this process's cold
-sweep by the gated ``warm_process_speedup_vs_cold`` ratio.  A sweep
-takes about 10 ms, so the median of several keeps a scheduler blip
-from moving the ratio by half.
+Finally a *cross-process warm-start* phase fills a persistent
+:class:`~repro.store.ResultStore` with an untimed, store-backed engine
+sweep of the space (``ExecutionEngine.for_app(MatMul(), store=...)``,
+the path the harness and the daemon take) and re-runs the sweep in a
+**fresh Python process** that has only that store to go on.  The
+child sweeps ``WARM_SWEEPS`` times, each with a fresh application and
+engine running ``evaluate_all`` then ``seconds_for``; every
+configuration's results come from the store's ``config`` tier.  The
+child itself asserts what the store is for: no sweep builds a kernel
+(``app._kernel_cache`` stays empty), evaluates or simulates a
+configuration (``static_evaluations == simulations == 0``), compiles
+or replays anything (``compile_evaluations == events_replayed == 0``),
+and every sweep gives the same times.  Those times must be
+bit-identical to this process's (compared through JSON, which
+round-trips doubles exactly), and the child's median sweep must beat
+this process's cold sweep by the gated
+``warm_process_speedup_vs_cold`` ratio.  A sweep takes 5-10 ms on a
+2-core VM, so the median of several keeps a scheduler blip from moving
+the ratio by half.
 
 Results are also written to ``BENCH_sim_hotpath.json`` at the repo
 root for inspection.
@@ -78,7 +82,7 @@ from repro.arch.occupancy import LaunchError
 from repro.cubin.resources import cubin_info
 from tests.sim.oracles import build_trace_reference, simulate_sm_reference
 from repro.store import ResultStore
-from repro.tuning.engine import config_key
+from repro.tuning.engine import ExecutionEngine, config_key
 
 HERE = os.path.dirname(__file__)
 BASELINE_PATH = os.path.join(HERE, "baselines", "sim_hotpath.json")
@@ -91,45 +95,37 @@ DEEP_WAVES = 8
 WARM_SWEEPS = 5
 
 #: Run in a fresh interpreter against a populated store: sweep the full
-#: matmul space WARM_SWEEPS times, each with a fresh app, asserting that
-#: no sweep builds or compiles a kernel; report the last sweep's
-#: per-config times and counters and every sweep's wall time.
+#: matmul space WARM_SWEEPS times, each with a fresh app and engine,
+#: asserting that no sweep builds, evaluates, simulates, compiles or
+#: replays anything; report the last sweep's per-config times and
+#: engine stats and every sweep's wall time.
 WARM_PROCESS_SCRIPT = """\
 import json, statistics, sys, time
 from repro.apps import MatMul
-from repro.store import ResultStore
-from repro.tuning.engine import config_key
+from repro.tuning.engine import ExecutionEngine, config_key
 
 store_dir, out_path, sweeps = sys.argv[1], sys.argv[2], int(sys.argv[3])
 runs = []
 first_times = None
 for _ in range(sweeps):
     app = MatMul()
-    app.sim_cache.attach_store(ResultStore(store_dir), write_back=False)
-    started = time.perf_counter()
-    preloaded = app.sim_cache.preload_from_store()
-    preload_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    times = {}
-    for config in app.space():
-        try:
-            times[config_key(config)] = app.simulate(config)
-        except Exception:
-            times[config_key(config)] = None
-    seconds = time.perf_counter() - started
-    counters = app.sim_cache.counters()
+    with ExecutionEngine.for_app(app, store=store_dir) as engine:
+        started = time.perf_counter()
+        entries = engine.evaluate_all(list(app.space()))
+        valid = [entry.config for entry in entries if entry.is_valid]
+        measured = dict(zip(valid, engine.seconds_for(valid)))
+        runs.append(time.perf_counter() - started)
+    stats = engine.stats
     assert not app._kernel_cache, "a store-warm sweep built a kernel"
-    assert counters["compile_evaluations"] == 0
-    assert counters["events_replayed"] == 0
+    assert stats.static_evaluations == stats.simulations == 0
+    assert stats.compile_evaluations == stats.events_replayed == 0
+    times = {config_key(entry.config): measured.get(entry.config)
+             for entry in entries}
     first_times = first_times or times
     assert times == first_times
-    runs.append((seconds, preload_seconds))
 with open(out_path, "w") as handle:
-    json.dump({"times": times,
-               "sweep_seconds": statistics.median(r[0] for r in runs),
-               "preload_seconds": statistics.median(r[1] for r in runs),
-               "sweeps": [r[0] for r in runs], "preloaded": preloaded,
-               "counters": counters}, handle)
+    json.dump({"times": times, "sweep_seconds": statistics.median(runs),
+               "sweeps": runs, "stats": stats.as_dict()}, handle)
 """
 
 
@@ -192,6 +188,16 @@ def _static_pass(app):
         except LaunchError:
             pass
     return evaluated
+
+
+def _fill_store(store_dir):
+    """One store-backed engine sweep of the space; returns its times."""
+    app = MatMul()
+    with ExecutionEngine.for_app(app, store=ResultStore(store_dir)) as engine:
+        entries = engine.evaluate_all(list(app.space()))
+        valid = [entry.config for entry in entries if entry.is_valid]
+        measured = dict(zip(valid, engine.seconds_for(valid)))
+    return {entry.config: measured.get(entry.config) for entry in entries}
 
 
 def _run_warm_process(store_dir):
@@ -274,15 +280,14 @@ def test_matmul_full_space_speedup_vs_baseline():
     assert warm_delta["compile_hits"] > 0
     assert warm_delta["compile_evaluations"] == 0
 
-    # Cross-process warm start: flush the populated cache to a store,
-    # then sweep again in a brand-new interpreter that has only the
-    # store to go on.  Bit-identical results, nothing recomputed, and
-    # a gated speedup over this process's cold sweep.
+    # Cross-process warm start: fill a store with an untimed engine
+    # sweep, then sweep again in a brand-new interpreter that has only
+    # the store to go on.  Bit-identical results, nothing recomputed,
+    # and a gated speedup over this process's cold sweep.
     store_dir = tempfile.mkdtemp(prefix="repro-store-bench-")
     try:
-        entries_flushed = optimized_app.sim_cache.flush_to_store(
-            ResultStore(store_dir)
-        )
+        assert _fill_store(store_dir) == optimized_times
+        entries_stored = ResultStore(store_dir).entry_count()
         warm_process = _run_warm_process(store_dir)
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
@@ -292,14 +297,15 @@ def test_matmul_full_space_speedup_vs_baseline():
     }))
     # JSON round-trips IEEE doubles exactly, so == is bit-equivalence.
     assert warm_process["times"] == expected_times
-    assert warm_process["counters"]["events_replayed"] == 0
-    assert warm_process["counters"]["waves_simulated"] == 0
-    assert warm_process["counters"]["compile_evaluations"] == 0
-    assert warm_process["counters"]["store_hits"] > 0
-    # Each sweep rehydrated through the bulk path (one load_many per
-    # tier), not per-entry read-through.
-    assert warm_process["preloaded"] == entries_flushed
-    assert warm_process["counters"]["store_bulk_reads"] >= 4
+    warm_stats = warm_process["stats"]
+    assert warm_stats["static_evaluations"] == warm_stats["simulations"] == 0
+    assert warm_stats["compile_evaluations"] == 0
+    assert warm_stats["events_replayed"] == warm_stats["waves_simulated"] == 0
+    # One bulk config-tier read, one entry per configuration, answers
+    # the whole sweep.
+    assert warm_stats["store_bulk_reads"] == 1
+    assert warm_stats["store_hits"] == len(optimized_times)
+    assert warm_stats["store_misses"] == 0
     assert len(warm_process["sweeps"]) == WARM_SWEEPS
     warm_process_seconds = warm_process["sweep_seconds"]
     store_speedup = optimized_seconds / warm_process_seconds
@@ -358,18 +364,16 @@ def test_matmul_full_space_speedup_vs_baseline():
             "counter_delta": warm_delta,
         },
         # A fresh interpreter warmed only by the persistent store:
-        # bit-identical times, no kernel built or compiled, nothing
-        # replayed; the median sweep's speedup is gated, every sweep's
-        # seconds are recorded.
+        # bit-identical times, no kernel built, evaluated or simulated,
+        # nothing replayed; the median sweep's speedup is gated, every
+        # sweep's seconds are recorded.
         "warm_process": {
-            "entries_flushed": entries_flushed,
-            "preloaded": warm_process["preloaded"],
-            "preload_seconds": round(warm_process["preload_seconds"], 3),
+            "entries_stored": entries_stored,
             "sweep_seconds": round(warm_process_seconds, 4),
             "speedup_vs_cold": round(store_speedup, 2),
             "baseline_speedup": expected_store,
             "sweeps": [round(seconds, 4) for seconds in warm_process["sweeps"]],
-            "counters": warm_process["counters"],
+            "stats": warm_stats,
         },
     }
     with open(RESULT_PATH, "w") as handle:

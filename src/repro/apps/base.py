@@ -30,7 +30,7 @@ from repro.metrics.model import MetricReport, evaluate_kernel
 from repro.obs.trace import span
 from repro.ptx.view import ViewCache
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
-from repro.sim.fingerprint import Launch, SimulationCache, kernel_fingerprint
+from repro.sim.fingerprint import SimulationCache, kernel_fingerprint
 from repro.sim.gpu import SimulationResult, simulate_kernel
 from repro.tuning.space import ConfigSpace, Configuration
 
@@ -96,6 +96,10 @@ class Application(abc.ABC):
         #: :meth:`_shared_baseline`); per instance, so a dropped app
         #: takes its baselines with it
         self._baselines: Dict[Any, Kernel] = {}
+        #: :meth:`result_key`'s class-and-identity head, and its last
+        #: SimConfig with that config's ``repr``
+        self._key_head: Optional[str] = None
+        self._key_sim: Tuple[Optional[SimConfig], str] = (None, "")
 
     # ------------------------------------------------------------------
     # Space and kernel generation.
@@ -125,17 +129,23 @@ class Application(abc.ABC):
         :class:`~repro.sim.config.SimConfig` (so ``sim_overrides``
         count), and :func:`source_digest`.  Leaving any of them out
         would serve one problem's results to another.
+
+        A store-warm sweep is mostly this key and the entry it names, so
+        the class-and-identity head is spelled once per instance (the
+        identity is fixed at construction), and a SimConfig's ``repr``
+        once per SimConfig object (it is frozen).
         """
         from repro.tuning.engine import config_key
 
-        cls = type(self)
-        parts = (
-            f"{cls.__module__}.{cls.__qualname__}",
-            json.dumps(self.identity(), sort_keys=True),
-            config_key(config),
-            repr(self.effective_sim_config(config)),
-            source_digest(),
-        )
+        if self._key_head is None:
+            cls = type(self)
+            self._key_head = (f"{cls.__module__}.{cls.__qualname__}\0"
+                              + json.dumps(self.identity(), sort_keys=True))
+        sim = self.effective_sim_config(config)
+        if sim is not self._key_sim[0]:
+            self._key_sim = (sim, repr(sim))
+        parts = (self._key_head, config_key(config), self._key_sim[1],
+                 source_digest())
         return hashlib.sha256("\0".join(parts).encode("utf-8")).hexdigest()
 
     def _shared_baseline(self, *key) -> Kernel:
@@ -254,27 +264,6 @@ class Application(abc.ABC):
             self._fingerprint_cache[config] = fingerprint
         return fingerprint
 
-    def _launch_for(self, config: Configuration):
-        """``(kernel, launch)`` for :func:`simulate_kernel`.
-
-        A configuration whose kernel is in memory is described from it,
-        and its :class:`~repro.sim.fingerprint.Launch` record is kept
-        in ``sim_cache`` (and so in an attached store).  Otherwise a
-        record kept by an earlier sweep stands in for the kernel, which
-        is then built only if an artifact it keys is missing.
-        """
-        key = self.result_key(config)
-        kernel = self._kernel_cache.get(config)
-        if kernel is None:
-            launch = self._sim_cache.lookup_launch(key)
-            if launch is not None:
-                return (lambda: self.kernel(config)), launch
-            kernel = self.kernel(config)
-        launch = Launch(self._fingerprint(config, kernel), kernel.name,
-                        kernel.num_blocks)
-        self._sim_cache.store_launch(key, launch)
-        return kernel, launch
-
     @staticmethod
     def _specialize_report(report: MetricReport, kernel: Kernel) -> MetricReport:
         """Adapt a fingerprint-shared report to this kernel's grid.
@@ -341,13 +330,13 @@ class Application(abc.ABC):
         """
         with span("app.simulate", cat="app", app=self.name,
                   config=dict(config)):
-            kernel, launch = self._launch_for(config)
+            kernel = self.kernel(config)
             result = simulate_kernel(
                 kernel,
                 self.effective_sim_config(config),
                 resources=self._resources_for(config),
                 cache=self._sim_cache,
-                launch=launch,
+                fingerprint=self._fingerprint(config, kernel),
                 views=self._views,
             )
         self._time_cache.setdefault(config, self._total_seconds(config, result))

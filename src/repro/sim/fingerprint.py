@@ -25,7 +25,7 @@ application shares work across its whole configuration space.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.ir.kernel import Kernel
 from repro.obs.metrics import Counters
@@ -78,25 +78,12 @@ def kernel_fingerprint(
     return view.digest("\n".join(header))
 
 
-class Launch(NamedTuple):
-    """What simulating a configuration needs of its kernel while the
-    cache holds the kernel's artifacts: the fingerprint they are keyed
-    by, the kernel's name, and its block count (the grid's one input
-    to the timing).  Kept per configuration, so a process that finds
-    one need not build the kernel at all."""
-
-    fingerprint: str
-    kernel_name: str
-    num_blocks: int
-
-
 #: this cache's counters, zero-filled; replay telemetry accumulates on
 #: SM *misses* only, so it counts real work
 SIM_COUNTERS = {
     "fingerprint_resource_hits": 0,  # compile passes reused across configs
     "fingerprint_trace_hits": 0,     # warp traces reused across configs
     "fingerprint_sm_hits": 0,        # SM replays reused across configs
-    "launch_hits": 0,                # configs simulated from a Launch record
     "compile_hits": 0,               # static reports reused across configs
     "compile_evaluations": 0,        # full static compiles performed
     "waves_simulated": 0,            # full SM waves actually replayed
@@ -152,9 +139,6 @@ class SimulationCache:
         #: is grid-independent; the consumer re-specializes those two
         #: from its own kernel (see Application.evaluate).
         self._compile: Dict[str, "MetricReport"] = {}
-        #: per-configuration :class:`Launch` records, keyed by
-        #: ``Application.result_key``
-        self._launches: Dict[str, Launch] = {}
         self.counts = Counters(SIM_COUNTERS)
         self._store: Optional["ResultStore"] = None
         self._store_write_back = True
@@ -252,7 +236,6 @@ class SimulationCache:
             "trace": self._traces,
             "sm": self._sm,
             "compile": self._compile,
-            "launch": self._launches,
         }
         for tier, key, obj in entries:
             if tier == "sm":
@@ -262,67 +245,6 @@ class SimulationCache:
             if self._store is not None and (tier, key) not in self._store_seen:
                 self._store_seen.add((tier, key))
                 self._store.store(tier, key, obj)
-
-    def flush_to_store(self, store: Optional["ResultStore"] = None) -> int:
-        """Persist every in-memory artifact; returns the entry count.
-
-        Lets a benchmark (or a sweep that attached its store late)
-        populate a store from an already-warm cache without re-running
-        anything.
-        """
-        target = store if store is not None else self._store
-        if target is None:
-            raise ValueError("no result store attached and none given")
-        written = 0
-        for fingerprint, obj in self._resources.items():
-            target.store("resources", fingerprint, obj)
-            written += 1
-        for fingerprint, obj in self._traces.items():
-            target.store("trace", fingerprint, obj)
-            written += 1
-        for key, obj in self._sm.items():
-            target.store("sm", key, obj)
-            written += 1
-        for fingerprint, obj in self._compile.items():
-            target.store("compile", fingerprint, obj)
-            written += 1
-        for key, obj in self._launches.items():
-            target.store("launch", key, obj)
-            written += 1
-        return written
-
-    def preload_from_store(self) -> int:
-        """Bulk-rehydrate the in-memory tiers from the attached store.
-
-        One :meth:`~repro.store.ResultStore.list_keys` +
-        :meth:`~repro.store.ResultStore.load_many` pass per tier, so a
-        warm process pays the per-entry open/verify/unpickle cost up
-        front (amortized, one timestamp per tier) instead of inside
-        its sweep.  Entries land exactly like read-through hits: into
-        the memory tiers without touching the work counters, marked
-        seen so they are never re-persisted, and mirrored into the
-        decoded cache when one is attached.  Returns the number of
-        entries loaded.
-        """
-        if self._store is None:
-            raise ValueError("no result store attached")
-        tiers = (
-            ("resources", self._resources),
-            ("trace", self._traces),
-            ("sm", self._sm),
-            ("compile", self._compile),
-            ("launch", self._launches),
-        )
-        loaded = 0
-        for tier, memory in tiers:
-            found = self._store.load_many(tier, self._store.list_keys(tier))
-            for key, obj in found.items():
-                memory.setdefault(key, obj)
-                self._store_seen.add((tier, key))
-                if self._decoded is not None:
-                    self._decoded.put(tier, key, obj)
-                loaded += 1
-        return loaded
 
     # -- resources -------------------------------------------------------
 
@@ -424,23 +346,6 @@ class SimulationCache:
         counts.incr("events_skipped", result.events_skipped)
         self._store_put("sm", (fingerprint, blocks_sampled), result)
 
-    # -- per-configuration launch records ---------------------------------
-
-    def lookup_launch(self, key: str) -> Optional[Launch]:
-        found = self._launches.get(key)
-        if found is None:
-            found = self._store_load("launch", key)
-            if found is None:
-                return None
-            self._launches[key] = found
-        self.counts.incr("launch_hits")
-        return found
-
-    def store_launch(self, key: str, launch: Launch) -> None:
-        if key not in self._launches:
-            self._launches[key] = launch
-            self._store_put("launch", key, launch)
-
     # -- built kernels (the app keeps them in memory) --------------------
 
     def load_kernel(self, key: str) -> Optional[Kernel]:
@@ -470,10 +375,9 @@ class SimulationCache:
         self._traces.clear()
         self._sm.clear()
         self._compile.clear()
-        self._launches.clear()
         self.counts = Counters(SIM_COUNTERS)
         self._store_backlog = []
         self._store_seen = set()
 
 
-__all__ = ["Launch", "SIM_COUNTERS", "SimulationCache", "kernel_fingerprint"]
+__all__ = ["SIM_COUNTERS", "SimulationCache", "kernel_fingerprint"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from repro.arch.occupancy import LaunchError, Occupancy
 from repro.cubin.resources import ResourceUsage, cubin_info
@@ -21,7 +21,7 @@ from repro.ir.kernel import Kernel
 from repro.obs.trace import span
 from repro.ptx.view import ViewCache
 from repro.sim.config import DEFAULT_SIM_CONFIG, SimConfig
-from repro.sim.fingerprint import Launch, SimulationCache, kernel_fingerprint
+from repro.sim.fingerprint import SimulationCache, kernel_fingerprint
 from repro.sim.sm import SMResult, simulate_sm
 from repro.sim.trace import build_trace
 
@@ -46,11 +46,11 @@ class SimulationResult:
 
 
 def simulate_kernel(
-    kernel: Union[Kernel, Callable[[], Kernel]],
+    kernel: Kernel,
     config: SimConfig = DEFAULT_SIM_CONFIG,
     resources: Optional[ResourceUsage] = None,
     cache: Optional[SimulationCache] = None,
-    launch: Optional[Launch] = None,
+    fingerprint: Optional[str] = None,
     views: Optional[ViewCache] = None,
 ) -> SimulationResult:
     """Estimate a kernel's execution time on the device.
@@ -66,11 +66,8 @@ def simulate_kernel(
     with the same post-transform code shape was simulated before.
     Only ``blocks_per_sm_total`` — the single grid-dependent factor —
     is recomputed per call, so cache hits are exact, not approximate.
-
-    ``launch`` (with ``cache``) describes the kernel by its fingerprint,
-    name and block count, so the kernel itself is needed only when a
-    cache tier misses: ``kernel`` may then be a zero-argument callable
-    that builds it, called only for the compile pass or the trace.
+    ``fingerprint`` (with ``cache``) is the kernel's fingerprint when
+    the caller already holds it.
 
     ``views`` (a :class:`~repro.ptx.view.ViewCache` over kernels that
     are never mutated) supplies the kernel's view to the fingerprint,
@@ -79,21 +76,16 @@ def simulate_kernel(
     """
     if views is None:
         views = ViewCache()
-    if launch is None:
-        launch = Launch(
-            kernel_fingerprint(kernel, config, views=views)
-            if cache is not None else "",
-            kernel.name, kernel.num_blocks,
-        )
-    build = kernel if callable(kernel) else lambda: kernel
-    fingerprint = launch.fingerprint if cache is not None else None
+    if cache is None:
+        fingerprint = None
+    elif fingerprint is None:
+        fingerprint = kernel_fingerprint(kernel, config, views=views)
     if resources is None:
         if fingerprint is not None:
             resources = cache.lookup_resources(fingerprint)
         if resources is None:
-            with span("sim.compile", cat="sim", kernel=launch.kernel_name):
-                built_kernel = build()
-                resources = cubin_info(built_kernel, view=views.view(built_kernel))
+            with span("sim.compile", cat="sim", kernel=kernel.name):
+                resources = cubin_info(kernel, view=views.view(kernel))
             if fingerprint is not None:
                 cache.store_resources(fingerprint, resources)
     elif fingerprint is not None:
@@ -105,12 +97,11 @@ def simulate_kernel(
     if fingerprint is not None:
         trace = cache.lookup_trace(fingerprint)
     if trace is None:
-        with span("sim.trace_build", cat="sim", kernel=launch.kernel_name):
-            built_kernel = build()
-            trace = build_trace(built_kernel, config, view=views.view(built_kernel))
+        with span("sim.trace_build", cat="sim", kernel=kernel.name):
+            trace = build_trace(kernel, config, view=views.view(kernel))
         if fingerprint is not None:
             cache.store_trace(fingerprint, trace)
-    blocks_per_sm_total = math.ceil(launch.num_blocks / config.device.num_sms)
+    blocks_per_sm_total = math.ceil(kernel.num_blocks / config.device.num_sms)
     blocks_to_sample = min(
         blocks_per_sm_total,
         occupancy.blocks_per_sm * config.simulated_waves,
@@ -130,7 +121,7 @@ def simulate_kernel(
             cache.store_sm(fingerprint, blocks_to_sample, sm_result)
     cycles = sm_result.cycles_per_block * blocks_per_sm_total
     return SimulationResult(
-        kernel_name=launch.kernel_name,
+        kernel_name=kernel.name,
         cycles=cycles,
         seconds=config.device.cycles_to_seconds(cycles),
         occupancy=occupancy,

@@ -13,7 +13,6 @@ from repro.store.disk import (
     COMPILE_TIER,
     CONFIG_TIER,
     KERNEL_TIER,
-    LAUNCH_TIER,
     RESOURCES_TIER,
     ResultStore,
     SCHEMA_VERSION,
@@ -31,7 +30,6 @@ __all__ = [
     "CONFIG_TIER",
     "DecodedCache",
     "KERNEL_TIER",
-    "LAUNCH_TIER",
     "RESOURCES_TIER",
     "ResultStore",
     "SCHEMA_VERSION",

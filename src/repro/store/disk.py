@@ -112,11 +112,8 @@ COMPILE_TIER = "compile"
 #: kernels ``Application.kernel`` would otherwise rebuild
 CONFIG_TIER = "config"
 KERNEL_TIER = "kernel"
-#: per-configuration ``Launch`` records (fingerprint, kernel name,
-#: block count), same key: simulating from one needs no kernel
-LAUNCH_TIER = "launch"
 TIERS = (RESOURCES_TIER, TRACE_TIER, SM_TIER, COMPILE_TIER, CONFIG_TIER,
-         KERNEL_TIER, LAUNCH_TIER)
+         KERNEL_TIER)
 
 #: environment variable naming the store directory (the harness's
 #: ``--store`` flag wins when both are given)
@@ -306,7 +303,9 @@ class ResultStore:
     ) -> Optional[Any]:
         path = self._entry_path(tier, key)
         try:
-            with open(path, "rb") as handle:
+            # Unbuffered: one whole-file read, without a buffer object
+            # per entry.
+            with open(path, "rb", buffering=0) as handle:
                 blob = handle.read()
         except FileNotFoundError:
             self.counts.incr("store_misses")
@@ -438,20 +437,24 @@ class ResultStore:
     # Eviction.
 
     def _walk_entries(self) -> List[Tuple[float, int, str]]:
-        """(mtime, size, path) for every entry file currently on disk."""
+        """(mtime, size, path) for every entry file currently on disk.
+
+        Walks the whole root, not just :data:`TIERS`: entries under a
+        directory this build does not know (a tier an earlier build
+        wrote) still count toward the bound and are evicted oldest
+        first like any other.
+        """
         found = []
-        for tier in TIERS:
-            root = os.path.join(self.path, tier)
-            for dirpath, _dirnames, filenames in os.walk(root):
-                for filename in filenames:
-                    if not filename.endswith(_ENTRY_SUFFIX):
-                        continue
-                    path = os.path.join(dirpath, filename)
-                    try:
-                        status = os.stat(path)
-                    except OSError:
-                        continue  # evicted or replaced concurrently
-                    found.append((status.st_mtime, status.st_size, path))
+        for dirpath, _dirnames, filenames in os.walk(self.path):
+            for filename in filenames:
+                if not filename.endswith(_ENTRY_SUFFIX):
+                    continue
+                path = os.path.join(dirpath, filename)
+                try:
+                    status = os.stat(path)
+                except OSError:
+                    continue  # evicted or replaced concurrently
+                found.append((status.st_mtime, status.st_size, path))
         return found
 
     def _resync_index(self) -> None:
@@ -584,7 +587,6 @@ __all__ = [
     "COMPILE_TIER",
     "CONFIG_TIER",
     "KERNEL_TIER",
-    "LAUNCH_TIER",
     "MAGIC",
     "RESOURCES_TIER",
     "ResultStore",

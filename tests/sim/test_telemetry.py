@@ -95,7 +95,6 @@ class TestSimulationCache:
             "fingerprint_resource_hits": 0,
             "fingerprint_trace_hits": 0,
             "fingerprint_sm_hits": 0,
-            "launch_hits": 0,
             "compile_hits": 0,
             "compile_evaluations": 0,
             "waves_simulated": 0,

@@ -87,7 +87,7 @@ def test_list_keys_round_trips_every_tier(tmp_path):
     store.store(SM_TIER, (FP, 12), {"cycles": 20})
     assert store.list_keys(TRACE_TIER) == sorted([FP, FP2])
     assert store.list_keys(SM_TIER) == [(FP, 3), (FP, 12)]
-    # listed keys load: the full preload loop works end to end
+    # listed keys load back through one bulk read
     assert store.load_many(SM_TIER, store.list_keys(SM_TIER)) == {
         (FP, 3): {"cycles": 9}, (FP, 12): {"cycles": 20},
     }

@@ -76,6 +76,36 @@ def test_eviction_is_oldest_first(tmp_path):
     assert store.size_bytes() <= store.max_bytes
 
 
+def test_entries_under_unknown_directories_count_and_go_first(tmp_path):
+    """Entry files under a directory this build does not know (a tier
+    an earlier build wrote and a later one retired) count toward the
+    bound, and the oldest of them are evicted before live entries."""
+    root = str(tmp_path / "store")
+    seed = ResultStore(root)
+    retired = []
+    for i in range(2):
+        name = fingerprint(i)
+        path = os.path.join(root, "retired", name[:2], name + ".entry")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(b"x" * 1000)
+        os.utime(path, (100 + i, 100 + i))
+        retired.append(path)
+    for i in range(2, 4):
+        seed.store(TRACE_TIER, fingerprint(i), "x" * 1000)
+        os.utime(seed._entry_path(TRACE_TIER, fingerprint(i)),
+                 (200 + i, 200 + i))
+    store = ResultStore(root, max_bytes=seed.size_bytes() + 1)
+    assert store.entry_count() == 4
+    assert store._total_bytes == store.size_bytes()
+    store.store(TRACE_TIER, fingerprint(4), "x" * 1000)
+    assert store.counts["store_evictions"] == 2
+    assert not any(os.path.exists(path) for path in retired)
+    assert all(os.path.exists(store._entry_path(TRACE_TIER, fingerprint(i)))
+               for i in range(2, 5))
+    assert store.size_bytes() <= store.max_bytes
+
+
 def test_concurrent_unlink_tolerated(tmp_path):
     """Entries another process removed mid-sweep leave the accounting
     without raising and without inflating this store's evictions."""
